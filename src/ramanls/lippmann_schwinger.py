@@ -17,9 +17,24 @@ S for k >= 1.
 All integrals are composite-Simpson sums over grid prefixes: plain
 Simpson for even prefix lengths, Simpson plus a 3/8 tail segment for odd
 ones (a single trapezoid interval at the very first node, where the
-kernel vanishes linearly).  Building order k on n nodes costs O(k n^2)
-3x3 multiply-accumulates; no FFT acceleration is attempted since n stays
-in the thousands.
+kernel vanishes linearly).
+
+The kernel is separable.  Every spectral projector of M0^2 has rank one,
+so M0^2 = V diag(mu_m^2) V^H with a unitary V.  With S_m(t) =
+sin(mu_m t)/mu_m (evaluated by ``sinc_sqrt``, so mu_m -> 0 never divides)
+and C_m(t) = cos(mu_m t), angle addition gives
+
+    K(t_i - t_j) = V diag(S_m(t_i) C_m(t_j) - C_m(t_i) S_m(t_j)) V^H,
+
+so in the eigenbasis every convolution on node i is a prefix quadrature
+over j of C_m(t_j) h_j and S_m(t_j) h_j, with h = V^H eps U in the R
+form and U eps V in the L form.  The Simpson prefix on nodes
+0..2k is (dt/3)(2 sum_even + 4 sum_odd - b_0 - b_2k), with running sums
+taken separately over even and odd nodes; odd nodes add the 3/8 segment
+on nodes i-3..i.  In the L form the substitution t' -> t - t' mirrors
+the node weights, which moves the 3/8 segment to nodes 0..3 and runs
+Simpson over 3..i.  One Born order on n nodes thus costs O(n) time and
+memory, order k O(k n) time, and no weight matrix is ever stored.
 """
 
 from __future__ import annotations
@@ -103,34 +118,14 @@ class PropagatorTable:
     matrices: np.ndarray  # shape (n+1, 3, 3)
 
 
-def _prefix_weights(i: int, dt: float) -> np.ndarray:
-    """Quadrature weights for the integral over [0, i*dt] on grid nodes 0..i."""
-    if i == 0:
-        return np.zeros(1)
-    if i == 1:
-        # Lone interval; the integrand vanishes at tau = 0 so the
-        # trapezoid here is O(dt^4) in practice.
-        return np.array([0.5, 0.5]) * dt
-    w = np.zeros(i + 1)
-    if i % 2 == 0:
-        w[0] = w[i] = 1.0
-        w[1:i:2] = 4.0
-        w[2:i:2] = 2.0
-        return w * (dt / 3.0)
-    m = i - 3
-    if m > 0:
-        w[0] = 1.0
-        w[1:m:2] = 4.0
-        w[2:m:2] = 2.0
-        w[m] = 1.0
-        w[: m + 1] *= dt / 3.0
-    w[m : i + 1] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * dt / 8.0)
-    return w
+def _u0_tables(variant: Variant, params: RamanParams, times: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Zeroth-order table and the kernel's spectral pieces on the grid.
 
-
-def _u0_tables(variant: Variant, params: RamanParams,
-               times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zeroth-order table and kernel table K = sin(M0 t)/M0 on the grid."""
+    Returns ``(u0_t, cos_vals, sinc_vals, proj)``: the (n+1, 3, 3) table,
+    C_m(t) and S_m(t) as (n+1, 3) columns, one per mode, and the (3, 3, 3)
+    projectors P_m.
+    """
     sd = spectral_m0sq(params)
     mus_sq = np.array([sd.mu_plus_sq, sd.mu_minus_sq, sd.mu_e_sq])
     proj = np.stack(sd.projectors)
@@ -145,14 +140,109 @@ def _u0_tables(variant: Variant, params: RamanParams,
         u0_t = cos_t - 1j * np.matmul(h, kernel)
     else:  # S and M coincide at order zero
         u0_t = cos_t - 0.5j * (kernel @ h + np.matmul(h, kernel))
-    return u0_t, kernel
+    return u0_t, cos_vals, sinc_vals, proj
 
 
 def u0(variant: Variant | str, params: RamanParams, t: float) -> np.ndarray:
     """Zeroth-order propagator of the chosen variant at a single time."""
     variant = Variant(variant)
-    table, _ = _u0_tables(variant, params, np.array([float(t)]))
-    return table[0]
+    return _u0_tables(variant, params, np.array([float(t)]))[0][0]
+
+
+# The Born step works on (3, 3, n+1) arrays, time on the last axis, so
+# that every operation below runs over long contiguous rows.  np.matmul
+# on an (n+1, 3, 3) stack multiplies the 3x3 blocks one at a time, and a
+# BLAS product over the flattened table may start threads; _left and
+# _right avoid both.
+
+
+def _simpson_prefix(b: np.ndarray, dt: float, out: np.ndarray) -> None:
+    """Composite-Simpson integrals of ``b`` over nodes 0..2k, for every k,
+    written to ``out``: (dt/3)(2 sum_even + 4 sum_odd - b_0 - b_2k)."""
+    np.cumsum(b[..., 0::2], axis=-1, out=out)
+    out *= 2.0
+    odd = np.cumsum(b[..., 1:-1:2], axis=-1)
+    odd *= 4.0
+    out[..., 1:] += odd
+    out -= b[..., :1]
+    out -= b[..., 0::2]
+    out *= dt / 3.0
+
+
+def _prefix_integrals(b: np.ndarray, dt: float, mirrored: bool) -> np.ndarray:
+    """Prefix quadratures Q_i = sum_j w(i)_j b_j along the time axis.
+
+    w(i) is the node's prefix rule: Simpson for even i, the trapezoid at
+    i = 1, and for odd i >= 3 Simpson plus a 3/8 segment on nodes i-3..i,
+    or on nodes 0..3 when ``mirrored``.
+    """
+    q = np.empty_like(b)
+    _simpson_prefix(b, dt, q[..., 0::2])
+    q[..., 1] = 0.5 * dt * (b[..., 0] + b[..., 1])
+    if b.shape[-1] < 5:  # no odd node i >= 3
+        return q
+    three_eighths = 3.0 * dt / 8.0
+    tail = q[..., 3::2]
+    if mirrored:
+        _simpson_prefix(b[..., 3:], dt, tail)
+        head = b[..., 0] + 3.0 * (b[..., 1] + b[..., 2]) + b[..., 3]
+        tail += three_eighths * head[..., None]
+    else:
+        np.add(b[..., :-3:2], b[..., 3::2], out=tail)
+        tail += 3.0 * (b[..., 1:-2:2] + b[..., 2:-1:2])
+        tail *= three_eighths
+        tail += q[..., 0:-3:2]
+    return q
+
+
+def _mode_basis(proj: np.ndarray) -> np.ndarray:
+    """Unitary V with P_m = v_m v_m^H for its columns v_m.
+
+    Every spectral projector of M0^2 has rank one, so v_m is any nonzero
+    column of P_m, normalized.
+    """
+    cols = [p[:, np.argmax(np.linalg.norm(p, axis=0))] for p in proj]
+    return np.stack([c / np.linalg.norm(c) for c in cols], axis=1)
+
+
+def _left(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """a @ table on every node of a (3, 3, n+1) table."""
+    out = a[:, 0, None, None] * table[0]
+    out += a[:, 1, None, None] * table[1]
+    out += a[:, 2, None, None] * table[2]
+    return out
+
+
+def _right(table: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """table @ a on every node of a (3, 3, n+1) table."""
+    out = table[:, 0, None] * a[0, :, None]
+    out += table[:, 1, None] * a[1, :, None]
+    out += table[:, 2, None] * a[2, :, None]
+    return out
+
+
+def _born_integral(table: np.ndarray, eps: np.ndarray, dt: float,
+                   cos_t: np.ndarray, sinc_t: np.ndarray,
+                   basis: np.ndarray, *, right: bool) -> np.ndarray:
+    """Convolution term of one Born order on every node.
+
+    R form: int_0^t K(t-t') eps U(t') dt'.  With ``right``, the L form
+    int_0^t U(t-t') eps K(t') dt' = int_0^t U(t') eps K(t-t') dt', taken
+    with mirrored node weights.  In the eigenbasis V of M0^2 the kernel is
+    diagonal, K = V diag(S_m) V^H, so with h = V^H eps U (or U eps V)
+    row (column) m of the result is S_m(t) Q[C_m h] - C_m(t) Q[S_m h].
+    ``cos_t`` and ``sinc_t`` hold C_m and S_m as (3, n+1) rows.
+    """
+    vh = basis.conj().T
+    if right:
+        h = _right(table, eps @ basis)
+        c, s = cos_t[None], sinc_t[None]
+    else:
+        h = _left(vh @ eps, table)
+        c, s = cos_t[:, None], sinc_t[:, None]
+    x = s * _prefix_integrals(c * h, dt, right)
+    x -= c * _prefix_integrals(s * h, dt, right)
+    return _right(x, vh) if right else _left(basis, x)
 
 
 def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
@@ -174,32 +264,28 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
         return PropagatorTable(grid=grid, variant=variant, order=order,
                                matrices=mats)
 
-    times = grid.times
-    dt = grid.dt
-    u0_t, kernel = _u0_tables(variant, params, times)
+    u0_t, cos_vals, sinc_vals, proj = _u0_tables(variant, params, grid.times)
+    if order == 0:
+        return PropagatorTable(grid=grid, variant=variant, order=order,
+                               matrices=u0_t)
     eps = split_square(params, eps_scale=eps_scale).eps
-    weights = [_prefix_weights(i, dt) for i in range(grid.n + 1)]
+    step = (eps, grid.dt, np.ascontiguousarray(cos_vals.T),
+            np.ascontiguousarray(sinc_vals.T), _mode_basis(proj))
+    u0_rows = np.ascontiguousarray(u0_t.transpose(1, 2, 0))
 
-    table = u0_t
+    table = u0_rows
     for _ in range(order):
-        prev = table
-        table = u0_t.copy()
-        eps_u = np.matmul(eps, prev) if variant is not Variant.L else None
-        u_eps = prev @ eps if variant is not Variant.R else None
-        for i in range(1, grid.n + 1):
-            w = weights[i]
-            if variant is Variant.R:
-                corr = np.einsum("j,jab,jbc->ac", w, kernel[i::-1], eps_u[: i + 1])
-            elif variant is Variant.L:
-                corr = np.einsum("j,jab,jbc->ac", w, u_eps[i::-1], kernel[: i + 1])
-            else:
-                corr = 0.5 * np.einsum("j,jab,jbc->ac", w, kernel[i::-1],
-                                       eps_u[: i + 1]) \
-                     + 0.5 * np.einsum("j,jab,jbc->ac", w, u_eps[i::-1],
-                                       kernel[: i + 1])
-            table[i] -= corr
+        if variant is Variant.R:
+            corr = _born_integral(table, *step, right=False)
+        elif variant is Variant.L:
+            corr = _born_integral(table, *step, right=True)
+        else:
+            corr = _born_integral(table, *step, right=False)
+            corr += _born_integral(table, *step, right=True)
+            corr *= 0.5
+        table = u0_rows - corr
     return PropagatorTable(grid=grid, variant=variant, order=order,
-                           matrices=table)
+                           matrices=np.ascontiguousarray(table.transpose(2, 0, 1)))
 
 
 def apply_normalized(table: PropagatorTable, psi0: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ from ramanls.model import RamanParams, h_new, spectral_m0sq, split_square
 from ramanls.numerics import eig_h3, mat_func_h3, sinc_sqrt
 from ramanls.propagators import exact_delta0
 
+import ls_quadratic
+
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
 PSI0 = np.array([1.0, 0.0, 0.0], dtype=complex)
 OMEGA_R = spectral_m0sq(FIG4).mu_plus - spectral_m0sq(FIG4).mu_minus
@@ -166,17 +168,46 @@ def test_mean_variant_differs_from_symmetric_beyond_zeroth():
 def test_volterra_self_consistency():
     # Substituting a converged table back into the right-hand side must
     # reproduce it to the quadrature floor, O(dt^4 t) times the kernel scale.
-    from ramanls.lippmann_schwinger import _prefix_weights, _u0_tables
-
     g = auto_grid(FIG4, 45.0 / 400.0, refine=2.0)
     tab = iterate("R", FIG4, g, 5)
-    u0_t, kernel = _u0_tables(Variant.R, FIG4, g.times)
-    eps_u = np.matmul(split_square(FIG4).eps, tab.matrices)
-    rhs = u0_t.copy()
-    for i in range(1, g.n + 1):
-        w = _prefix_weights(i, g.dt)
-        rhs[i] -= np.einsum("j,jab,jbc->ac", w, kernel[i::-1], eps_u[: i + 1])
+    u0_t = ls_quadratic.iterate("R", FIG4, g, 0).matrices
+    rhs = ls_quadratic.born_step(Variant.R, u0_t, tab.matrices,
+                                 ls_quadratic.kernel_table(FIG4, g.times),
+                                 split_square(FIG4).eps, g.dt)
     assert np.abs(tab.matrices - rhs).max() <= 1e-6
+
+
+# n = 2..12 cover the i = 1 trapezoid, the pure 3/8 node i = 3, odd-node
+# tails and, for L and S, the mirrored weights; the last grid is figure 4's.
+ORACLE_GRIDS = [TimeGrid(t_end=n * 1e-4, n=n) for n in (2, 4, 6, 8, 10, 12)] \
+    + [auto_grid(FIG4, 45.0 / 400.0)]
+
+
+@pytest.mark.parametrize("variant", ["R", "L", "S", "M"])
+def test_separable_iterate_matches_quadratic_oracle(variant):
+    for g in ORACLE_GRIDS:
+        for order in range(4):
+            fast = iterate(variant, FIG4, g, order).matrices
+            slow = ls_quadratic.iterate(variant, FIG4, g, order).matrices
+            assert np.abs(fast - slow).max() <= 1e-12, (g.n, order)
+
+
+@pytest.mark.parametrize("params", [
+    RamanParams(400.0, -400.0, 0.0, 120.0),           # mu_minus^2 == 0
+    RamanParams(400.0, -399.999999, 1e-3, 120.0),     # mu_minus^2 ~ 2e-7
+])
+def test_one_photon_resonance_small_mu(params):
+    # The kernel split must not divide by mu_minus: every variant stays
+    # finite and equal to the direct quadratic sum.
+    assert spectral_m0sq(params).mu_minus_sq < 1e-6
+    grids = [TimeGrid(t_end=0.001, n=4), auto_grid(params, 45.0 / 400.0)]
+    for g in grids:
+        for variant in ("R", "L", "S", "M"):
+            for order in (1, 2):
+                fast = iterate(variant, params, g, order).matrices
+                slow = ls_quadratic.iterate(variant, params, g, order).matrices
+                assert np.all(np.isfinite(fast))
+                assert np.abs(fast - slow).max() <= 1e-12, (g.n, variant, order)
 
 
 def test_order_scaling_in_eps():
