@@ -15,12 +15,8 @@ import numpy as np
 
 from .lippmann_schwinger import TimeGrid, Variant, apply_normalized, iterate
 from .model import RamanParams, h_ae, h_new, spectral_m0sq
-from .propagators import ae_model, state_table
-from .numerics import sinc_sqrt
-
-#: Every method name trace_populations accepts.
-METHODS = ("exact-ae", "exact-new", "ode", "ae", "delta0", "m0eff",
-           "ls-R", "ls-L", "ls-S", "ls-M")
+from .propagators import (ae_model, m0_effective_unitary, mode_factors, rk4,
+                          rk4_steps, state_table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +116,69 @@ def _require_no_excited(psi0: np.ndarray, method: str) -> np.ndarray:
     return psi0[:2]
 
 
+def _with_empty_excited(two: np.ndarray) -> np.ndarray:
+    return np.concatenate([two, np.zeros((len(two), 1))], axis=1)
+
+
+# Every method maps (params, psi0, grid, order, dt_max) to the (n+1, 3)
+# states on the grid nodes.  The helpers are looked up in this module's
+# globals at call time, never bound early, so that wrapping a module
+# binding (as a profiler does) sees every call.
+
+def _ode(params, psi0, grid, order, dt_max):
+    h = h_new(params)
+    substeps = rk4_steps(h, grid.dt, grid.dt if dt_max is None else dt_max)
+    dt = grid.dt / substeps
+    states = np.empty((grid.n + 1, 3), dtype=complex)
+    states[0] = psi0
+    for i in range(grid.n):
+        states[i + 1] = rk4(h, states[i], dt, substeps)
+    return states
+
+
+def _ae(params, psi0, grid, order, dt_max):
+    psi01 = _require_no_excited(psi0, "ae")
+    return _with_empty_excited(state_table(ae_model(params).h_eff, grid.times, psi01))
+
+
+def _m0eff(params, psi0, grid, order, dt_max):
+    psi01 = _require_no_excited(psi0, "m0eff")
+    return _with_empty_excited(m0_effective_unitary(params, grid.times) @ psi01)
+
+
+def _delta0(params, psi0, grid, order, dt_max):
+    if params.delta_2ph != 0.0:
+        raise ValueError("method delta0 requires zero two-photon detuning")
+    sd = spectral_m0sq(params)
+    proj = np.stack(sd.projectors)
+    cos_vals, sinc_vals = mode_factors(sd, grid.times)
+    hpsi = h_new(params) @ psi0
+    # Contracted straight into states: an (n+1, 3, 3) operator table
+    # would double the peak memory of long traces.
+    return (np.einsum("ti,iab,b->ta", cos_vals, proj, psi0)
+            - 1j * np.einsum("ti,iab,b->ta", sinc_vals, proj, hpsi))
+
+
+def _ls(variant):
+    def states(params, psi0, grid, order, dt_max):
+        return apply_normalized(iterate(variant, params, grid, order), psi0)
+    return states
+
+
+#: Every method trace_populations accepts, mapped to its state table.
+METHODS = {
+    "exact-ae": lambda params, psi0, grid, order, dt_max:
+        state_table(h_ae(params), grid.times, psi0),
+    "exact-new": lambda params, psi0, grid, order, dt_max:
+        state_table(h_new(params), grid.times, psi0),
+    "ode": _ode,
+    "ae": _ae,
+    "delta0": _delta0,
+    "m0eff": _m0eff,
+    **{f"ls-{v.value}": _ls(v) for v in Variant},
+}
+
+
 def trace_populations(method: str, params: RamanParams, psi0: np.ndarray,
                       grid: TimeGrid, *, order: int = 0,
                       dt_max: float | None = None) -> Trace:
@@ -137,66 +196,9 @@ def trace_populations(method: str, params: RamanParams, psi0: np.ndarray,
         raise ValueError("initial state must have three components")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("initial state must have unit norm")
-    times = grid.times
-    label = method
-
-    if method in ("exact-ae", "exact-new"):
-        h = h_ae(params) if method == "exact-ae" else h_new(params)
-        states = state_table(h, times, psi0)
-    elif method == "ode":
-        h = h_new(params)
-        rho = float(np.abs(h).sum(axis=1).max())
-        cap = 0.05 / rho if rho > 0 else grid.dt
-        if dt_max is not None:
-            cap = min(cap, dt_max)
-        substeps = max(1, int(math.ceil(grid.dt / cap)))
-        dt = grid.dt / substeps
-        psi = psi0.copy()
-        states = np.empty((grid.n + 1, 3), dtype=complex)
-        states[0] = psi
-        for i in range(grid.n):
-            for _ in range(substeps):
-                k1 = -1j * (h @ psi)
-                k2 = -1j * (h @ (psi + 0.5 * dt * k1))
-                k3 = -1j * (h @ (psi + 0.5 * dt * k2))
-                k4 = -1j * (h @ (psi + dt * k3))
-                psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            states[i + 1] = psi
-    elif method == "ae":
-        psi01 = _require_no_excited(psi0, method)
-        model = ae_model(params)
-        lam, v = np.linalg.eigh(model.h_eff)
-        coeff = v.conj().T @ psi01
-        phases = np.exp(-1j * np.outer(times, lam))
-        two = (phases * coeff) @ v.T
-        states = np.concatenate([two, np.zeros((len(times), 1))], axis=1)
-    elif method == "m0eff":
-        psi01 = _require_no_excited(psi0, method)
-        sd = spectral_m0sq(params)
-        p_plus = sd.projectors[0][:2, :2]
-        p_minus = sd.projectors[1][:2, :2]
-        two = (np.exp(1j * sd.mu_plus * times)[:, None] * (p_plus @ psi01)
-               + np.exp(1j * sd.mu_minus * times)[:, None] * (p_minus @ psi01))
-        states = np.concatenate([two, np.zeros((len(times), 1))], axis=1)
-    elif method == "delta0":
-        if params.delta_2ph != 0.0:
-            raise ValueError("method delta0 requires zero two-photon detuning")
-        sd = spectral_m0sq(params)
-        mus_sq = np.array([sd.mu_plus_sq, sd.mu_minus_sq, sd.mu_e_sq])
-        proj = np.stack(sd.projectors)
-        h = h_new(params)
-        cos_vals = np.cos(np.sqrt(mus_sq)[None, :] * times[:, None])
-        sinc_vals = sinc_sqrt(mus_sq[None, :], times[:, None])
-        hpsi = h @ psi0
-        states = (np.einsum("ti,iab,b->ta", cos_vals, proj, psi0)
-                  - 1j * np.einsum("ti,iab,b->ta", sinc_vals, proj, hpsi))
-    else:  # ls-R / ls-L / ls-S / ls-M
-        variant = Variant(method.split("-", 1)[1])
-        table = iterate(variant, params, grid, order)
-        states = apply_normalized(table, psi0)
-        label = f"{method}-k{order}"
-
+    states = METHODS[method](params, psi0, grid, order, dt_max)
+    label = f"{method}-k{order}" if method.startswith("ls-") else method
     pops = np.abs(states) ** 2
     norm = np.sqrt(pops.sum(axis=1))
-    return Trace(times=times, p0=pops[:, 0], p1=pops[:, 1], pe=pops[:, 2],
+    return Trace(times=grid.times, p0=pops[:, 0], p1=pops[:, 1], pe=pops[:, 2],
                  norm=norm, label=label)

@@ -46,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .model import RamanParams, h_new, spectral_m0sq, split_square
-from .numerics import sinc_sqrt
+from .propagators import mode_factors
 
 #: Largest allowed phase advance of the fastest mode per grid step.
 GRID_PHASE_LIMIT = math.pi / 20.0
@@ -127,10 +127,8 @@ def _u0_tables(variant: Variant, params: RamanParams, times: np.ndarray
     projectors P_m.
     """
     sd = spectral_m0sq(params)
-    mus_sq = np.array([sd.mu_plus_sq, sd.mu_minus_sq, sd.mu_e_sq])
     proj = np.stack(sd.projectors)
-    cos_vals = np.cos(np.sqrt(mus_sq)[None, :] * times[:, None])
-    sinc_vals = sinc_sqrt(mus_sq[None, :], times[:, None])
+    cos_vals, sinc_vals = mode_factors(sd, times)
     cos_t = np.einsum("ti,iab->tab", cos_vals, proj)
     kernel = np.einsum("ti,iab->tab", sinc_vals, proj)
     h = h_new(params)

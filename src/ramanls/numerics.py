@@ -1,4 +1,4 @@
-"""Small dense complex linear algebra and quadrature.
+"""Small dense complex linear algebra.
 
 Everything in here operates on plain numpy arrays: 2x2 and 3x3 complex
 matrices are the only sizes that ever occur.  All functions are pure; no
@@ -42,32 +42,9 @@ def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL,
     return 0.5 * (a + a.conj().T)
 
 
-def eig_h2(a: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Closed-form eigensystem of a Hermitian 2x2 matrix.
-
-    Returns ``(eigenvalues, (p_minus, p_plus))`` with the eigenvalues in
-    ascending order and one orthogonal projector per eigenvalue.  For a
-    (near-)degenerate input the projectors are the coordinate projectors
-    diag(1,0), diag(0,1), which is as good as any orthogonal split.
-    """
-    a = require_hermitian(a, name="eig_h2 input")
-    half_trace = 0.5 * (a[0, 0].real + a[1, 1].real)
-    half_gap = 0.5 * (a[0, 0].real - a[1, 1].real)
-    radius = float(np.hypot(half_gap, abs(a[0, 1])))
-    lam = np.array([half_trace - radius, half_trace + radius])
-    scale = max(float(np.abs(a).max()), 1.0)
-    if radius <= 1e-14 * scale:
-        p_minus = np.diag([1.0, 0.0]).astype(complex)
-        p_plus = np.diag([0.0, 1.0]).astype(complex)
-    else:
-        p_plus = (a - lam[0] * np.eye(2)) / (2.0 * radius)
-        p_minus = np.eye(2) - p_plus
-    return lam, (p_minus, p_plus)
-
-
 @dataclass(frozen=True, eq=False)
 class EigenH3:
-    """Eigendecomposition of a Hermitian 3x3 matrix.
+    """Eigendecomposition of a Hermitian 3x3 or 2x2 matrix.
 
     ``eigenvalues`` ascend; the columns of ``eigenvectors`` are the
     corresponding orthonormal eigenvectors.
@@ -78,27 +55,10 @@ class EigenH3:
 
 
 def eig_h3(a: np.ndarray) -> EigenH3:
-    """Hermitian 3x3 eigendecomposition (validated input, ascending order)."""
+    """Hermitian 3x3 or 2x2 eigendecomposition (validated input, ascending order)."""
     h = require_hermitian(a, name="eig_h3 input")
     lam, vec = np.linalg.eigh(h)
     return EigenH3(eigenvalues=lam, eigenvectors=vec)
-
-
-def mat_func_h3(spec: EigenH3, f) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Returns sum_i f(lambda_i) P_i, evaluated as V diag(f(lambda)) V^dagger.
-    """
-    vals = np.array([f(lam) for lam in spec.eigenvalues])
-    v = spec.eigenvectors
-    return (v * vals) @ v.conj().T
-
-
-def cos_sqrt(lam, t):
-    """cos(sqrt(lam) t) as an even function of sqrt(lam); lam >= 0 (clipped)."""
-    lam = np.asarray(lam, dtype=float)
-    out = np.cos(np.sqrt(np.maximum(lam, 0.0)) * np.asarray(t, dtype=float))
-    return float(out) if out.ndim == 0 else out
 
 
 def sinc_sqrt(lam, t):
@@ -117,22 +77,3 @@ def sinc_sqrt(lam, t):
     series = t * (1.0 - x / 6.0 + x * x / 120.0)
     out = np.where(small, series, direct)
     return float(out) if out.ndim == 0 else out
-
-
-def simpson(values, step: float):
-    """Composite Simpson rule on a uniform grid.
-
-    ``values`` must hold an odd number (>= 3) of samples, i.e. an even
-    number of intervals.  Exact for cubics; works for real or complex
-    samples.
-    """
-    values = np.asarray(values)
-    n = values.shape[0] - 1
-    if n < 2 or n % 2 != 0:
-        raise ValueError(
-            f"simpson needs an odd sample count >= 3, got {values.shape[0]}"
-        )
-    w = np.ones(n + 1)
-    w[1:n:2] = 4.0
-    w[2:n:2] = 2.0
-    return (step / 3.0) * np.dot(w, values)

@@ -6,9 +6,11 @@ population, the exact spectral solution at zero two-photon detuning, and
 the effective two-level propagator built from the block-diagonal part of
 the squared Hamiltonian.
 
-Every sin(M t)/M factor is evaluated as the even scalar function
-sin(sqrt(lam) t)/sqrt(lam) of the squared operator, so no square-root
-sign ever has to be chosen.
+One RK4 kernel serves the matrix form (the propagator, from the identity)
+and the state form (a population trace, node by node): ``h @ x`` is the
+same product for both.  Every sin(M t)/M factor is evaluated as the even
+scalar function sin(sqrt(lam) t)/sqrt(lam) of the squared operator, so no
+square-root sign ever has to be chosen.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import RamanParams, SpectralData, h_new, spectral_m0sq
-from .numerics import cos_sqrt, eig_h3, sinc_sqrt
+from .numerics import eig_h3, sinc_sqrt
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,30 +58,39 @@ def state_table(h: np.ndarray, times: np.ndarray, psi0: np.ndarray) -> np.ndarra
     return (phases * coeff) @ v.T
 
 
-def ode_oracle(h: np.ndarray, t: float, dt_max: float) -> np.ndarray:
-    """Fixed-step RK4 integration of dU/dt = -i h U from the identity.
+def rk4_steps(h: np.ndarray, span: float, dt_max: float) -> int:
+    """Number of equal RK4 steps across ``span`` for the generator h.
 
     The step obeys dt <= dt_max and dt * rho(h) <= 0.05 with rho the
-    max-row-sum bound on the spectral radius.  Deterministic by design;
-    this is the independent cross-check for the spectral propagators.
+    max-row-sum bound on the spectral radius.
     """
     if not dt_max > 0:
         raise ValueError("dt_max must be positive")
-    h = np.asarray(h, dtype=complex)
-    u = np.eye(3, dtype=complex)
-    if t == 0:
-        return u
     rho = float(np.abs(h).sum(axis=1).max())
     cap = dt_max if rho == 0 else min(dt_max, 0.05 / rho)
-    nsteps = max(1, int(math.ceil(abs(t) / cap)))
-    dt = t / nsteps
-    for _ in range(nsteps):
-        k1 = -1j * (h @ u)
-        k2 = -1j * (h @ (u + 0.5 * dt * k1))
-        k3 = -1j * (h @ (u + 0.5 * dt * k2))
-        k4 = -1j * (h @ (u + dt * k3))
-        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return u
+    return max(1, int(math.ceil(abs(span) / cap)))
+
+
+def rk4(h: np.ndarray, x: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """``steps`` classical RK4 steps of dx/dt = -i h x; x a state or a matrix."""
+    for _ in range(steps):
+        k1 = -1j * (h @ x)
+        k2 = -1j * (h @ (x + 0.5 * dt * k1))
+        k3 = -1j * (h @ (x + 0.5 * dt * k2))
+        k4 = -1j * (h @ (x + dt * k3))
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
+def ode_oracle(h: np.ndarray, t: float, dt_max: float) -> np.ndarray:
+    """Fixed-step RK4 integration of dU/dt = -i h U from the identity.
+
+    The step follows ``rk4_steps``.  Deterministic by design; this is the
+    independent cross-check for the spectral propagators.
+    """
+    h = np.asarray(h, dtype=complex)
+    steps = rk4_steps(h, t, dt_max)
+    return rk4(h, np.eye(3, dtype=complex), t / steps, steps)
 
 
 def ae_model(params: RamanParams) -> AEModel:
@@ -125,12 +136,15 @@ def ae_population_1(params: RamanParams, t: float) -> float:
     return amp * (1.0 - math.cos(model.omega_r * t))
 
 
-def _spectral_pieces(sd: SpectralData, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos(M0 t) and sin(M0 t)/M0 from the spectral data of M0^2."""
-    mus_sq = (sd.mu_plus_sq, sd.mu_minus_sq, sd.mu_e_sq)
-    cos_m = sum(cos_sqrt(m2, t) * p for m2, p in zip(mus_sq, sd.projectors))
-    sinc_m = sum(sinc_sqrt(m2, t) * p for m2, p in zip(mus_sq, sd.projectors))
-    return cos_m, sinc_m
+def mode_factors(sd: SpectralData, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(mu_m t) and sin(mu_m t)/mu_m of the three modes of M0^2.
+
+    Both are (len(times), 3) arrays, one column per projector of ``sd``,
+    evaluated from mu_m^2 so that mu_m -> 0 never divides.
+    """
+    mus_sq = np.array([sd.mu_plus_sq, sd.mu_minus_sq, sd.mu_e_sq])
+    t = np.asarray(times, dtype=float)[:, None]
+    return np.cos(np.sqrt(np.maximum(mus_sq, 0.0)) * t), sinc_sqrt(mus_sq, t)
 
 
 def exact_delta0(params: RamanParams, t: float) -> np.ndarray:
@@ -142,7 +156,11 @@ def exact_delta0(params: RamanParams, t: float) -> np.ndarray:
     """
     if params.delta_2ph != 0.0:
         raise ValueError("exact_delta0 requires zero two-photon detuning")
-    cos_m, sinc_m = _spectral_pieces(spectral_m0sq(params), t)
+    sd = spectral_m0sq(params)
+    cos_vals, sinc_vals = mode_factors(sd, np.array([t], dtype=float))
+    proj = np.stack(sd.projectors)
+    cos_m = np.tensordot(cos_vals[0], proj, 1)
+    sinc_m = np.tensordot(sinc_vals[0], proj, 1)
     return cos_m - 1j * sinc_m @ h_new(params)
 
 
@@ -154,15 +172,17 @@ def excited_pop_delta0(params: RamanParams, t: float) -> float:
     return abs(params.omega0) ** 2 / big * math.sin(0.5 * math.sqrt(big) * t) ** 2
 
 
-def m0_effective_unitary(params: RamanParams, t: float) -> np.ndarray:
+def m0_effective_unitary(params: RamanParams, t: float | np.ndarray) -> np.ndarray:
     """Two-level propagator generated by the upper block of the split square.
 
     The effective Hamiltonian is minus the positive square root of the
     upper 2x2 block of m0sq, so the propagator is exp(+i mu t) summed over
-    the two block projectors.
+    the two block projectors.  ``t`` may be an array of times; the result
+    then holds one 2x2 matrix per time on its leading axes.
     """
     sd = spectral_m0sq(params)
     p_plus = sd.projectors[0][:2, :2]
     p_minus = sd.projectors[1][:2, :2]
+    t = np.asarray(t, dtype=float)[..., None, None]
     return (np.exp(1j * sd.mu_plus * t) * p_plus
             + np.exp(1j * sd.mu_minus * t) * p_minus)

@@ -205,6 +205,9 @@ def test_trace_rejections():
             trace_populations(method, FIG4, excited, grid)
     with pytest.raises(ValueError, match="two-photon"):
         trace_populations("delta0", FIG4, PSI0, grid)
+    for dt_max in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="dt_max must be positive"):
+            trace_populations("ode", FIG4, PSI0, grid, dt_max=dt_max)
     assert "ls-M" in METHODS
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ramanls import cli
-from ramanls.analysis import amplitude_p, rabi_general
+from ramanls.analysis import METHODS, amplitude_p, rabi_general
 from ramanls.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, UsageError,
                          parse_complex_literal, parse_config)
 from ramanls.lippmann_schwinger import required_intervals
@@ -148,13 +148,17 @@ def test_evolve_deterministic_bytes(tmp_path):
 
 def test_compare_stacks_methods(tmp_path):
     out = tmp_path / "cmp.csv"
-    code = cli.main(["compare", "--delta-avg", "400", "--delta", "0",
-                     "--omega0", "100", "--omega1", "100", "--t-end", "0.05",
-                     "--points", "60", "--method", "exact-new,ae,delta0,ode",
-                     "--out", str(out)])
-    assert code == EXIT_OK
-    methods = {line.rsplit(",", 1)[1] for line in read_lines(out)[1:]}
-    assert methods == {"exact-new", "ae", "delta0", "ode"}
+    every = ["exact-ae", "exact-new", "ode", "ae", "delta0", "m0eff",
+             "ls-R", "ls-L", "ls-S", "ls-M"]
+    assert list(METHODS) == every
+    for methods in (["exact-new", "ae", "delta0", "ode"], every):
+        code = cli.main(["compare", "--delta-avg", "400", "--delta", "0",
+                         "--omega0", "100", "--omega1", "100", "--t-end", "0.05",
+                         "--points", "60", "--method", ",".join(methods),
+                         "--out", str(out)])
+        assert code == EXIT_OK
+        labels = {line.rsplit(",", 1)[1] for line in read_lines(out)[1:]}
+        assert labels == {m + "-k0" if m.startswith("ls-") else m for m in methods}
 
 
 def test_points_autocorrected_for_ls(tmp_path, capsys):

@@ -6,10 +6,11 @@ from ramanls.lippmann_schwinger import (GRID_PHASE_LIMIT, PropagatorTable,
                                         auto_grid, iterate,
                                         required_intervals, u0, validate_grid)
 from ramanls.model import RamanParams, h_new, spectral_m0sq, split_square
-from ramanls.numerics import eig_h3, mat_func_h3, sinc_sqrt
-from ramanls.propagators import exact_delta0
+from ramanls.numerics import eig_h3, sinc_sqrt
+from ramanls.propagators import exact_unitary
 
 import ls_quadratic
+from spectral_oracle import mat_func_h3
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
 PSI0 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -69,7 +70,7 @@ def test_u0_identity_at_zero():
 def test_u0_variants_coincide_at_zero_detuning():
     p = RamanParams(400.0, 0.0, 100.0, 100.0)
     for t in (0.01, 0.08, 0.2):
-        ref = exact_delta0(p, t)
+        ref = exact_unitary(h_new(p), t)
         for variant in ("R", "L", "S"):
             assert np.abs(u0(variant, p, t) - ref).max() < 1e-12
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from ramanls.numerics import (cos_sqrt, eig_h2, eig_h3, hermiticity_defect,
-                              mat_func_h3, require_hermitian, simpson,
+from ramanls.numerics import (eig_h3, hermiticity_defect, require_hermitian,
                               sinc_sqrt)
 
+from spectral_oracle import mat_func_h3
 
-def random_hermitian(rng, n=3, scale=1.0):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+def random_hermitian(rng, scale=1.0):
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     return scale * 0.5 * (a + a.conj().T)
 
 
@@ -22,52 +23,6 @@ def test_require_hermitian_rejects_nonfinite():
     bad = np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="non-finite"):
         require_hermitian(bad)
-
-
-def test_eig_h2_identity_degenerate_split():
-    lam, (p0, p1) = eig_h2(np.eye(2, dtype=complex))
-    assert np.allclose(lam, [1.0, 1.0])
-    assert np.allclose(p0 + p1, np.eye(2))
-    assert np.allclose(p0 @ p1, 0)
-
-
-def test_eig_h2_diagonal():
-    lam, (p0, p1) = eig_h2(np.diag([2.0, 5.0]).astype(complex))
-    assert np.allclose(lam, [2.0, 5.0])
-    assert np.allclose(p0, np.diag([1.0, 0.0]))
-    assert np.allclose(p1, np.diag([0.0, 1.0]))
-
-
-def test_eig_h2_raman_block_against_characteristic_polynomial():
-    # Upper 2x2 block of the split square for Delta=400, delta=-16,
-    # Omega = (200, 120): quarter of (Delta+delta*sigma3)^2 + Omega Omega+.
-    delta, dd = 400.0, -16.0
-    om = np.array([200.0, 120.0])
-    block = 0.25 * (np.diag([(delta + dd) ** 2, (delta - dd) ** 2])
-                    + np.outer(om, om)).astype(complex)
-    lam, (p_minus, p_plus) = eig_h2(block)
-    assert lam[0] == pytest.approx(40864.0, abs=1e-8)
-    assert lam[1] == pytest.approx(52864.0, abs=1e-8)
-    # independent oracle: roots of the characteristic polynomial
-    tr = block[0, 0].real + block[1, 1].real
-    det = (block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]).real
-    roots = np.sort(np.roots([1.0, -tr, det]).real)
-    assert np.allclose(lam, roots, rtol=1e-12)
-    recon = lam[0] * p_minus + lam[1] * p_plus
-    assert np.abs(recon - block).max() < 1e-12 * np.abs(block).max()
-
-
-def test_eig_h2_projector_properties_random():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a = random_hermitian(rng, n=2, scale=rng.uniform(0.1, 100.0))
-        lam, (p0, p1) = eig_h2(a)
-        assert lam[0] <= lam[1]
-        for p in (p0, p1):
-            assert np.abs(p - p.conj().T).max() < 1e-13
-            assert np.abs(p @ p - p).max() < 1e-13
-        assert np.abs(p0 @ p1).max() < 1e-13
-        assert np.abs(p0 + p1 - np.eye(2)).max() < 1e-13
 
 
 def test_eig_h3_diagonal():
@@ -150,41 +105,3 @@ def test_sinc_sqrt_limits():
     t = 0.1
     direct = np.sin(np.sqrt(lam) * t) / np.sqrt(lam)
     assert sinc_sqrt(lam * 1.0000001, t) == pytest.approx(direct, rel=1e-10)
-    assert cos_sqrt(4.0, 1.0) == pytest.approx(np.cos(2.0), rel=1e-15)
-
-
-def test_simpson_polynomial_exactness():
-    x = np.linspace(0.0, 1.0, 11)
-    assert simpson(x**2, x[1] - x[0]) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert simpson(x**3, x[1] - x[0]) == pytest.approx(0.25, abs=1e-15)
-    x2 = np.linspace(0.0, 2.0, 5)
-    assert simpson(np.ones(5), x2[1] - x2[0]) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_simpson_sine():
-    # Composite Simpson on sin over [0, pi] with 100 intervals: the error
-    # is the analytic h^4/90 leading term, about 1.08e-8.
-    x = np.linspace(0.0, np.pi, 101)
-    got = simpson(np.sin(x), x[1] - x[0])
-    h4_over_90 = (np.pi / 100.0) ** 4 / 90.0
-    assert abs(got - 2.0) <= 1.01 * h4_over_90
-
-
-def test_simpson_rejects_even_samples():
-    with pytest.raises(ValueError, match="odd sample count"):
-        simpson(np.ones(10), 0.1)
-    with pytest.raises(ValueError):
-        simpson(np.ones(1), 0.1)
-
-
-def test_simpson_fourth_order_on_oscillatory():
-    t_end = 10.0
-
-    def err(n):
-        x = np.linspace(0.0, t_end, n + 1)
-        exact = (np.exp(1j * t_end) - 1.0) / 1j
-        return abs(simpson(np.exp(1j * x), x[1] - x[0]) - exact)
-
-    for n in (64, 128, 256):
-        order = np.log2(err(n) / err(2 * n))
-        assert order >= 3.8
