@@ -105,7 +105,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     for name, v in (("a", a), ("b", b)):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # false for NaN too
             raise ValueError(f"fidelity argument {name} is not unit norm")
     return float(abs(np.vdot(a, b)))
 
@@ -194,7 +194,7 @@ def trace_populations(method: str, params: RamanParams, psi0: np.ndarray,
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (3,):
         raise ValueError("initial state must have three components")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # false for NaN too
         raise ValueError("initial state must have unit norm")
     states = METHODS[method](params, psi0, grid, order, dt_max)
     label = f"{method}-k{order}" if method.startswith("ls-") else method

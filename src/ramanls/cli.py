@@ -1,6 +1,11 @@
 """Command-line front end: traces, method comparisons, sweeps, fidelity
 studies and figure presets, all emitted as CSV.
 
+``SCENARIO_KEYS`` is the one list of what each scenario takes: every key
+is its flag ``--key`` and its config-file key alike.  Every scenario
+writes through one path: ``_tables`` yields (path, header, columns) for
+each CSV and ``_write_csv`` writes the columns row by row.
+
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
 figure presets.  Exit codes: 0 success, 2 usage error, 3 numerical
@@ -12,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +34,18 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 SWEEP_AXES = ("delta", "delta-avg", "omega0", "omega1")
-OBSERVABLES = ("rabi", "rabi-ae", "amplitude")
+#: The RamanParams field each sweep axis varies.
+_AXIS_FIELDS = dict(zip(SWEEP_AXES, ("delta_2ph", "delta_avg", "omega0", "omega1")))
+#: Every sweep observable.  The entries look their functions up in this
+#: module's globals at call time, so that wrapping a module binding (as a
+#: profiler does) sees every call.
+OBSERVABLES = {
+    "rabi": lambda p: rabi_general(p),
+    "rabi-ae": lambda p: rabi_ae(p),
+    "amplitude": lambda p: amplitude_p(p),
+}
 TRACE_HEADER = ("t", "dt_times_Delta", "p0", "p1", "pe", "norm", "method")
+FIDELITY_HEADER = ("ratio", "omega_r_t", "fidelity")
 
 
 class UsageError(Exception):
@@ -48,9 +63,22 @@ def parse_complex_literal(text: str) -> complex:
 
 def _parse_float(key: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise UsageError(f"malformed number for {key}: {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{key} must be finite: {text!r}")
+    return value
+
+
+def _parse_count(key: str, text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise UsageError(f"malformed number for {key}: {text!r}") from None
+    if value < minimum:
+        raise UsageError(f"{key} must be >= {minimum}: {text!r}")
+    return value
 
 
 def _parse_psi0(text: str) -> np.ndarray:
@@ -59,8 +87,8 @@ def _parse_psi0(text: str) -> np.ndarray:
         raise UsageError(f"--psi0 needs three comma-separated components: {text!r}")
     vec = np.array([parse_complex_literal(p) for p in parts])
     norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise UsageError("--psi0 must be nonzero")
+    if not 0 < norm < math.inf:
+        raise UsageError(f"--psi0 must be nonzero and finite: {text!r}")
     return vec / norm
 
 
@@ -84,9 +112,19 @@ class RunConfig:
 # ----------------------------------------------------------------------
 # argument and config-file parsing
 
-_PARAM_KEYS = ("delta-avg", "delta", "omega0", "omega1", "t-end", "dt-end",
-               "points", "method", "order", "psi0", "out", "id", "axis",
-               "from", "to", "observable", "omega-r-t-max")
+#: Keys every scenario takes.  Each key is at once the flag ``--key``, the
+#: config-file key and the argparse dest.
+_COMMON_KEYS = ("delta-avg", "delta", "omega0", "omega1", "t-end", "dt-end",
+                "points", "psi0", "out")
+
+#: Each scenario mapped to the keys it takes on top of the common ones.
+SCENARIO_KEYS = {
+    "evolve": ("method", "order"),
+    "compare": ("method", "order"),
+    "sweep": ("axis", "from", "to", "observable"),
+    "fidelity": ("omega-r-t-max",),
+    "figure": ("id",),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,44 +134,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "approximation ladder around them.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-
-    def add_common(p):
+    for scenario, keys in SCENARIO_KEYS.items():
+        p = sub.add_parser(scenario)
         p.add_argument("--config", help="key = value file; flags take precedence")
-        p.add_argument("--delta-avg", dest="delta_avg")
-        p.add_argument("--delta")
-        p.add_argument("--omega0")
-        p.add_argument("--omega1")
-        p.add_argument("--t-end", dest="t_end")
-        p.add_argument("--dt-end", dest="dt_end")
-        p.add_argument("--points")
-        p.add_argument("--psi0")
-        p.add_argument("--out")
-
-    for name in ("evolve", "compare"):
-        p = sub.add_parser(name)
-        add_common(p)
-        p.add_argument("--method")
-        p.add_argument("--order")
-
-    p = sub.add_parser("sweep")
-    add_common(p)
-    p.add_argument("--axis")
-    p.add_argument("--from", dest="sweep_from")
-    p.add_argument("--to", dest="sweep_to")
-    p.add_argument("--observable")
-
-    p = sub.add_parser("fidelity")
-    add_common(p)
-    p.add_argument("--omega-r-t-max", dest="omega_r_t_max")
-
-    p = sub.add_parser("figure")
-    add_common(p)
-    p.add_argument("--id", dest="figure_id")
+        for key in _COMMON_KEYS + keys:
+            p.add_argument(f"--{key}", dest=key)
     return parser
 
 
-def values_from_text(text: str) -> dict[str, str]:
-    """Parse 'key = value' lines; '#' starts a comment."""
+def values_from_text(text: str, keys) -> dict[str, str]:
+    """Parse 'key = value' lines into a dict; '#' starts a comment and
+    every key must be one of ``keys``."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -142,50 +153,42 @@ def values_from_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"config line {lineno} is not 'key = value': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _PARAM_KEYS:
+        if key not in keys:
             raise UsageError(f"unknown config key {key!r} on line {lineno}")
         out[key] = value
     return out
 
 
-def _merge(flag_value, config: dict[str, str], key: str):
-    return flag_value if flag_value is not None else config.get(key)
-
-
 def parse_config(argv, config_text: str | None = None) -> RunConfig:
     """Parse argv (plus optional config text) into a validated RunConfig."""
-    ns = _build_parser().parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    rc = RunConfig(scenario=flags.pop("scenario"))
+    keys = _COMMON_KEYS + SCENARIO_KEYS[rc.scenario]
     cfg: dict[str, str] = {}
     if config_text is not None:
-        cfg.update(values_from_text(config_text))
-    if getattr(ns, "config", None):
-        path = Path(ns.config)
+        cfg.update(values_from_text(config_text, keys))
+    config_file = flags.pop("config")
+    if config_file:
+        path = Path(config_file)
         if not path.is_file():
-            raise UsageError(f"config file not found: {ns.config}")
-        cfg.update(values_from_text(path.read_text()))
+            raise UsageError(f"config file not found: {config_file}")
+        cfg.update(values_from_text(path.read_text(), keys))
+    take = {**cfg, **{k: v for k, v in flags.items() if v is not None}}.get
 
-    def take(attr, key=None):
-        return _merge(getattr(ns, attr, None), cfg, key or attr.replace("_", "-"))
-
-    rc = RunConfig(scenario=ns.scenario)
-
-    if take("out") is not None:
-        rc.out = take("out")
+    rc.out = take("out")
     if take("psi0") is not None:
         rc.psi0 = _parse_psi0(take("psi0"))
 
-    delta_avg = take("delta_avg", "delta-avg")
     if rc.scenario != "figure":
-        if delta_avg is None:
+        if take("delta-avg") is None:
             raise UsageError("missing required --delta-avg")
-        omega0 = take("omega0")
-        omega1 = take("omega1")
+        omega0, omega1 = take("omega0"), take("omega1")
         if omega0 is None or omega1 is None:
             raise UsageError("missing required --omega0/--omega1")
         delta = take("delta")
         try:
             rc.params = RamanParams(
-                delta_avg=_parse_float("--delta-avg", delta_avg),
+                delta_avg=_parse_float("--delta-avg", take("delta-avg")),
                 delta_2ph=_parse_float("--delta", delta) if delta is not None else 0.0,
                 omega0=parse_complex_literal(omega0),
                 omega1=parse_complex_literal(omega1),
@@ -193,8 +196,7 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
 
-    t_end = take("t_end", "t-end")
-    dt_end = take("dt_end", "dt-end")
+    t_end, dt_end = take("t-end"), take("dt-end")
     if t_end is not None and dt_end is not None:
         raise UsageError("--t-end and --dt-end are mutually exclusive")
     if t_end is not None:
@@ -203,27 +205,17 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         if rc.params is None:
             raise UsageError("--dt-end needs --delta-avg")
         rc.t_end = _parse_float("--dt-end", dt_end) / abs(rc.params.delta_avg)
-    if rc.t_end is not None and rc.t_end <= 0:
-        raise UsageError("--t-end must be positive")
+    if rc.t_end is not None and not 0 < rc.t_end < math.inf:
+        raise UsageError("--t-end must be positive and finite")
 
-    points = take("points")
-    if points is not None:
-        try:
-            rc.points = int(points)
-        except ValueError:
-            raise UsageError(f"malformed number for --points: {points!r}") from None
+    if take("points") is not None:
+        rc.points = _parse_count("--points", take("points"), 1)
 
     if rc.scenario in ("evolve", "compare"):
         method = take("method")
         if method is None:
             raise UsageError("missing required --method")
-        order_text = take("order")
-        order = 0
-        if order_text is not None:
-            try:
-                order = int(order_text)
-            except ValueError:
-                raise UsageError(f"malformed number for --order: {order_text!r}") from None
+        order = 0 if take("order") is None else _parse_count("--order", take("order"), 0)
         names = [m.strip() for m in method.split(",") if m.strip()]
         for name in names:
             if name not in METHODS:
@@ -238,25 +230,22 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         if axis not in SWEEP_AXES:
             raise UsageError(f"--axis must be one of {', '.join(SWEEP_AXES)}")
         rc.sweep_axis = axis
-        a, b = take("sweep_from", "from"), take("sweep_to", "to")
-        if a is None or b is None:
+        if take("from") is None or take("to") is None:
             raise UsageError("sweep needs --from and --to")
-        rc.sweep_from = _parse_float("--from", a)
-        rc.sweep_to = _parse_float("--to", b)
+        rc.sweep_from = _parse_float("--from", take("from"))
+        rc.sweep_to = _parse_float("--to", take("to"))
         if rc.points is None or rc.points < 2:
             raise UsageError("sweep needs --points >= 2")
-        obs = take("observable")
-        if obs is not None:
-            rc.observables = [o.strip() for o in obs.split(",") if o.strip()]
+        if take("observable") is not None:
+            rc.observables = [o.strip() for o in take("observable").split(",") if o.strip()]
         for o in rc.observables:
             if o not in OBSERVABLES:
                 raise UsageError(f"unknown observable {o!r}; valid: {', '.join(OBSERVABLES)}")
     elif rc.scenario == "fidelity":
-        limit = take("omega_r_t_max", "omega-r-t-max")
-        if limit is not None:
-            rc.omega_r_t_max = _parse_float("--omega-r-t-max", limit)
-    elif rc.scenario == "figure":
-        fid = take("figure_id", "id")
+        if take("omega-r-t-max") is not None:
+            rc.omega_r_t_max = _parse_float("--omega-r-t-max", take("omega-r-t-max"))
+    else:
+        fid = take("id")
         if fid is None:
             raise UsageError("missing required --id")
         if fid not in PRESETS and fid not in PRESET_GROUPS:
@@ -286,7 +275,7 @@ def _fig3_preset(omega0, omega1):
 
 
 PRESETS: dict[str, dict] = {
-    "2": {"kind": "fidelity"},
+    "2": {"fidelity": (400.0, 40.0, [1.0, 3.0, 5.0], 7.0)},
     "3a": _fig3_preset(40.0, 40.0),
     "3b": _fig3_preset(40.0, 25.0),
     "3c": _fig3_preset(100.0, 100.0),
@@ -306,16 +295,15 @@ PRESET_GROUPS = {"3": ["3a", "3b", "3c"], "4": ["4a", "4b"]}
 # ----------------------------------------------------------------------
 # output
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, columns) -> None:
+    """Write equal-length columns: a list of str as is, a float array at
+    17 significant digits.  Cells are formatted row by row as they are
+    written, never held as strings all at once."""
+    cells = [col if isinstance(col, list) else map("{:.17g}".format, col.tolist())
+             for col in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-            fh.write("\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _grid_for(params: RamanParams, t_end: float, points: int | None,
@@ -332,64 +320,80 @@ def _grid_for(params: RamanParams, t_end: float, points: int | None,
     return TimeGrid(t_end=t_end, n=max(n, 2))
 
 
-def _trace_rows(params: RamanParams, methods, psi0, grid: TimeGrid):
-    rows = []
-    for name, order in methods:
-        trace = trace_populations(name, params, psi0, grid, order=order)
-        for i, t in enumerate(trace.times):
-            rows.append((t, t * params.delta_avg, trace.p0[i], trace.p1[i],
-                         trace.pe[i], trace.norm[i], trace.label))
-    return rows
+def _trace_columns(params: RamanParams, methods, psi0, grid: TimeGrid):
+    """The TRACE_HEADER columns of the methods' traces, one after another."""
+    traces = [trace_populations(name, params, psi0, grid, order=order)
+              for name, order in methods]
+    times = np.concatenate([tr.times for tr in traces])
+    return (times, times * params.delta_avg,
+            *(np.concatenate([getattr(tr, f) for tr in traces])
+              for f in ("p0", "p1", "pe", "norm")),
+            [tr.label for tr in traces for _ in range(len(tr.times))])
 
 
-def _fidelity_rows(delta_avg: float, omega1: float, ratios, omega_r_t_max: float,
-                   points: int):
-    """Exact-evolution fidelity between the two resonant-detuning choices."""
-    rows = []
+def _fidelity_columns(delta_avg: float, omega1: float, ratios, omega_r_t_max: float,
+                      points: int | None):
+    """Exact-evolution fidelity between the two resonant-detuning choices,
+    over omega_r_t_max Rabi phases, for each ratio |omega0|/|omega1|."""
+    phase = np.linspace(0.0, omega_r_t_max, 701 if points is None else points)
     psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    overlaps = []
     for ratio in ratios:
-        omega0 = ratio * omega1
-        base = RamanParams(delta_avg=delta_avg, delta_2ph=0.0,
-                           omega0=complex(omega0), omega1=complex(omega1))
-        d_ae = delta_resonant_ae(base)
-        d_ls, _ = delta_resonant_lightshift(base)
-        pa = RamanParams(delta_avg, d_ae, complex(omega0), complex(omega1))
-        pb = RamanParams(delta_avg, d_ls, complex(omega0), complex(omega1))
-        omega_r = rabi_ae(pa)
-        phase = np.linspace(0.0, omega_r_t_max, points)
-        times = phase / omega_r
+        base = RamanParams(delta_avg, 0.0, complex(ratio * omega1), complex(omega1))
+        pa = replace(base, delta_2ph=delta_resonant_ae(base))
+        pb = replace(base, delta_2ph=delta_resonant_lightshift(base)[0])
+        times = phase / rabi_ae(pa)
         sa = state_table(h_ae(pa), times, psi0)
         sb = state_table(h_ae(pb), times, psi0)
-        overlap = np.abs(np.einsum("ta,ta->t", sa.conj(), sb))
-        for x, f in zip(phase, overlap):
-            rows.append((float(ratio), x, f))
-    return rows
+        overlaps.append(np.abs(np.einsum("ta,ta->t", sa.conj(), sb)))
+    return (np.repeat(np.array(ratios, dtype=float), len(phase)),
+            np.tile(phase, len(ratios)), np.concatenate(overlaps))
 
 
-def _sweep_value(params: RamanParams, observable: str) -> float:
-    if observable == "rabi":
-        return rabi_general(params)
-    if observable == "rabi-ae":
-        return rabi_ae(params)
-    return amplitude_p(params)
-
-
-def _sweep_rows(config: RunConfig):
-    base = config.params
+def _sweep_columns(config: RunConfig):
     values = np.linspace(config.sweep_from, config.sweep_to, config.points)
-    rows = []
-    for v in values:
-        v = float(v)
-        if config.sweep_axis == "delta":
-            p = RamanParams(base.delta_avg, v, base.omega0, base.omega1)
-        elif config.sweep_axis == "delta-avg":
-            p = RamanParams(v, base.delta_2ph, base.omega0, base.omega1)
-        elif config.sweep_axis == "omega0":
-            p = RamanParams(base.delta_avg, base.delta_2ph, complex(v), base.omega1)
-        else:
-            p = RamanParams(base.delta_avg, base.delta_2ph, base.omega0, complex(v))
-        rows.append((v, *(_sweep_value(p, o) for o in config.observables)))
-    return rows
+    field_name = _AXIS_FIELDS[config.sweep_axis]
+    params = [replace(config.params, **{field_name: v}) for v in values.tolist()]
+    return (values, *(np.array([OBSERVABLES[o](p) for p in params], dtype=float)
+                      for o in config.observables))
+
+
+def _tables(config: RunConfig):
+    """Yield (path, header, columns) for every CSV the scenario writes."""
+    if config.scenario == "figure":
+        ids = PRESET_GROUPS.get(config.figure_id, [config.figure_id])
+        base = Path(config.out or ".")
+        for fid in ids:
+            preset = PRESETS[fid]
+            if len(ids) > 1 or base.suffix != ".csv":
+                base.mkdir(parents=True, exist_ok=True)
+                path = base / f"fig{fid}.csv"
+            else:
+                path = base
+            if "fidelity" in preset:
+                yield path, FIDELITY_HEADER, _fidelity_columns(*preset["fidelity"],
+                                                               config.points)
+            else:
+                grid = _grid_for(preset["params"], preset["t_end"], config.points,
+                                 needs_ls=True)
+                yield path, TRACE_HEADER, _trace_columns(
+                    preset["params"], preset["methods"], config.psi0, grid)
+    elif config.scenario == "sweep":
+        yield (Path(config.out or "sweep.csv"), (config.sweep_axis, *config.observables),
+               _sweep_columns(config))
+    elif config.scenario == "fidelity":
+        p = config.params
+        if p.omega0 == 0 or p.omega1 == 0:
+            raise ValueError("the fidelity study needs both drives on; "
+                             "omega0 and omega1 must be nonzero")
+        yield Path(config.out or "fidelity.csv"), FIDELITY_HEADER, _fidelity_columns(
+            p.delta_avg, abs(p.omega1), [abs(p.omega0) / abs(p.omega1)],
+            config.omega_r_t_max, config.points)
+    else:
+        needs_ls = any(m.startswith("ls-") for m, _ in config.methods)
+        grid = _grid_for(config.params, config.t_end, config.points, needs_ls)
+        yield Path(config.out or "trace.csv"), TRACE_HEADER, _trace_columns(
+            config.params, config.methods, config.psi0, grid)
 
 
 def run(config: RunConfig) -> list[Path]:
@@ -400,58 +404,14 @@ def run(config: RunConfig) -> list[Path]:
     """
     written: list[Path] = []
     try:
-        if config.scenario in ("evolve", "compare"):
-            needs_ls = any(m.startswith("ls-") for m, _ in config.methods)
-            grid = _grid_for(config.params, config.t_end, config.points, needs_ls)
-            rows = _trace_rows(config.params, config.methods, config.psi0, grid)
-            path = Path(config.out) if config.out else Path("trace.csv")
+        for path, header, columns in _tables(config):
             written.append(path)
-            _write_csv(path, TRACE_HEADER, rows)
-        elif config.scenario == "sweep":
-            rows = _sweep_rows(config)
-            path = Path(config.out) if config.out else Path("sweep.csv")
-            written.append(path)
-            _write_csv(path, (config.sweep_axis, *config.observables), rows)
-        elif config.scenario == "fidelity":
-            p = config.params
-            ratio = abs(p.omega0) / abs(p.omega1)
-            rows = _fidelity_rows(p.delta_avg, abs(p.omega1), [ratio],
-                                  config.omega_r_t_max, config.points or 701)
-            path = Path(config.out) if config.out else Path("fidelity.csv")
-            written.append(path)
-            _write_csv(path, ("ratio", "omega_r_t", "fidelity"), rows)
-        else:
-            _run_figure(config, written)
+            _write_csv(path, header, columns)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
         raise
     return written
-
-
-def _run_figure(config: RunConfig, written: list[Path]) -> None:
-    ids = PRESET_GROUPS.get(config.figure_id, [config.figure_id])
-    multi = len(ids) > 1
-    base = Path(config.out) if config.out else Path(".")
-    for fid in ids:
-        preset = PRESETS[fid]
-        if multi or config.out is None or base.suffix != ".csv":
-            base.mkdir(parents=True, exist_ok=True)
-            path = base / f"fig{fid}.csv"
-        else:
-            path = base
-        if preset.get("kind") == "fidelity":
-            rows = _fidelity_rows(400.0, 40.0, [1.0, 3.0, 5.0], 7.0,
-                                  config.points or 701)
-            written.append(path)
-            _write_csv(path, ("ratio", "omega_r_t", "fidelity"), rows)
-        else:
-            params = preset["params"]
-            grid = _grid_for(params, preset["t_end"], config.points,
-                             needs_ls=True)
-            rows = _trace_rows(params, preset["methods"], config.psi0, grid)
-            written.append(path)
-            _write_csv(path, TRACE_HEADER, rows)
 
 
 def main(argv=None) -> int:

@@ -294,7 +294,7 @@ def apply_normalized(table: PropagatorTable, psi0: np.ndarray) -> np.ndarray:
     has left its domain of validity.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # false for NaN too
         raise ValueError("initial state must have unit norm")
     raw = table.matrices @ psi0
     norms = np.linalg.norm(raw, axis=1)

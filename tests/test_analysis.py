@@ -114,6 +114,8 @@ def test_fidelity_basics():
     assert fidelity(a, b) == 0.0
     with pytest.raises(ValueError):
         fidelity(a, 2 * b)
+    with pytest.raises(ValueError, match="unit norm"):
+        fidelity(np.array([np.nan, 0.0, 0.0]), a)
 
 
 def test_fidelity_symmetry_and_phase_invariance():
@@ -199,6 +201,10 @@ def test_trace_rejections():
         trace_populations("magic", FIG4, PSI0, grid)
     with pytest.raises(ValueError, match="unit norm"):
         trace_populations("exact-new", FIG4, 2 * PSI0, grid)
+    nan_state = np.array([np.nan, 0.0, 0.0], dtype=complex)
+    for method in ("exact-new", "ls-S"):
+        with pytest.raises(ValueError, match="unit norm"):
+            trace_populations(method, FIG4, nan_state, grid)
     excited = np.array([0.8, 0.0, 0.6], dtype=complex)
     for method in ("ae", "m0eff"):
         with pytest.raises(ValueError, match="excited"):

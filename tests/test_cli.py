@@ -1,11 +1,13 @@
+import argparse
+
 import numpy as np
 import pytest
 
 from ramanls import cli
-from ramanls.analysis import METHODS, amplitude_p, rabi_general
+from ramanls.analysis import METHODS, amplitude_p, rabi_general, trace_populations
 from ramanls.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, UsageError,
                          parse_complex_literal, parse_config)
-from ramanls.lippmann_schwinger import required_intervals
+from ramanls.lippmann_schwinger import TimeGrid, required_intervals
 from ramanls.model import RamanParams
 
 
@@ -85,6 +87,26 @@ def test_config_text_rejections():
         parse_config(["evolve", "--method", "ae"], config_text="just words\n")
     with pytest.raises(UsageError, match="not found"):
         parse_config(["evolve", "--method", "ae", "--config", "/no/such/file"])
+    with pytest.raises(UsageError, match="unknown config key 'id'"):
+        parse_config(["evolve", "--method", "ae"], config_text="id = 4\n")
+
+
+def test_every_flag_is_a_config_key():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == ["evolve", "compare", "sweep", "fidelity", "figure"]
+    for scenario, sub in subparsers.choices.items():
+        keys = [opt[2:] for a in sub._actions if a.dest != "help"
+                for opt in a.option_strings]
+        assert "config" in keys and "delta-avg" in keys
+        for key in keys:
+            try:
+                parse_config([scenario], config_text=f"{key} = 1\n")
+            except UsageError as exc:
+                assert ("unknown config key" in str(exc)) == (key == "config"), (scenario, key)
+            else:
+                assert key != "config"
 
 
 def test_parse_config_rejections():
@@ -103,6 +125,25 @@ def test_parse_config_rejections():
         parse_config(["evolve", "--delta-avg", "400", "--omega0", "1",
                       "--omega1", "1", "--t-end", "1", "--dt-end", "10",
                       "--method", "ae"])
+    evolve = ["evolve", "--delta-avg", "400", "--omega0", "1", "--omega1", "1",
+              "--method", "ae"]
+    fidelity = ["fidelity", "--delta-avg", "400", "--omega0", "120", "--omega1", "40"]
+    for argv, match in (
+            (fidelity + ["--omega-r-t-max", "nan"], "--omega-r-t-max must be finite"),
+            (fidelity + ["--omega-r-t-max", "inf"], "--omega-r-t-max must be finite"),
+            (evolve + ["--t-end", "inf"], "--t-end must be finite"),
+            (["evolve", "--delta-avg", "1e-10", "--omega0", "1", "--omega1", "1",
+              "--method", "ae", "--dt-end", "1e308"], "--t-end must be positive and finite"),
+            (evolve + ["--t-end", "1", "--delta=-inf"], "--delta must be finite"),
+            (evolve + ["--t-end", "1", "--points", "0"], "--points must be >= 1"),
+            (evolve + ["--t-end", "1", "--points", "-2"], "--points must be >= 1"),
+            (fidelity + ["--points", "0"], "--points must be >= 1"),
+            (fidelity + ["--points", "-3"], "--points must be >= 1"),
+            (evolve + ["--t-end", "1", "--order", "-1"], "--order must be >= 0"),
+            (evolve + ["--t-end", "1", "--psi0", "nan,0,0"], "--psi0"),
+            (evolve + ["--t-end", "1", "--psi0", "1,1e400,0"], "--psi0")):
+        with pytest.raises(UsageError, match=match):
+            parse_config(argv)
 
 
 def test_main_exit_codes_for_usage(capsys):
@@ -144,6 +185,24 @@ def test_evolve_deterministic_bytes(tmp_path):
     assert cli.main(args + ["--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
     assert "ls-S-k1" in out1.read_text()
+
+
+def test_compare_writes_row_by_row_rendering(tmp_path):
+    out = tmp_path / "cmp.csv"
+    assert cli.main(["compare", "--delta-avg", "400", "--delta", "-16",
+                     "--omega0", "200", "--omega1", "120", "--t-end", "0.05",
+                     "--method", "exact-new,ls-S", "--order", "1",
+                     "--out", str(out)]) == EXIT_OK
+    params = RamanParams(400.0, -16.0, 200.0, 120.0)
+    grid = TimeGrid(t_end=0.05, n=required_intervals(params, 0.05))
+    psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    lines = ["t,dt_times_Delta,p0,p1,pe,norm,method"]
+    for method in ("exact-new", "ls-S"):
+        tr = trace_populations(method, params, psi0, grid, order=1)
+        for i, t in enumerate(tr.times):
+            cells = (t, t * 400.0, tr.p0[i], tr.p1[i], tr.pe[i], tr.norm[i])
+            lines.append(",".join([*(f"{x:.17g}" for x in cells), tr.label]))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_compare_stacks_methods(tmp_path):
@@ -191,6 +250,17 @@ def test_sweep_rows_match_library(tmp_path):
         assert amp == pytest.approx(amplitude_p(p), rel=1e-14)
     row40 = lines[41].split(",")
     assert float(row40[0]) == 0.0
+
+
+def test_sweep_looks_up_observables_at_call_time(tmp_path, monkeypatch):
+    # profilers wrap the module binding; the sweep must call through it
+    monkeypatch.setattr(cli, "rabi_general", lambda params: params.delta_2ph + 0.5)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--delta-avg", "400", "--omega0", "200",
+                     "--omega1", "120", "--axis", "delta", "--from", "-1",
+                     "--to", "1", "--points", "3", "--observable", "rabi",
+                     "--out", str(out)]) == EXIT_OK
+    assert read_lines(out) == ["delta,rabi", "-1,-0.5", "0,0.5", "1,1.5"]
 
 
 def test_fidelity_scenario(tmp_path):
@@ -251,7 +321,7 @@ def test_figure_hierarchy_and_envelope_presets(tmp_path):
         assert token in text6
 
 
-def test_numerical_failure_removes_partial_output(tmp_path):
+def test_numerical_failure_removes_partial_output(tmp_path, capsys):
     out = tmp_path / "bad.csv"
     code = cli.main(["evolve", "--delta-avg", "400", "--delta", "5",
                      "--omega0", "40", "--omega1", "40", "--t-end", "0.1",
@@ -259,3 +329,9 @@ def test_numerical_failure_removes_partial_output(tmp_path):
                      "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert not out.exists()
+    for omega0, omega1 in (("0", "40"), ("120", "0")):
+        code = cli.main(["fidelity", "--delta-avg", "400", "--omega0", omega0,
+                         "--omega1", omega1, "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        assert "both drives" in capsys.readouterr().err

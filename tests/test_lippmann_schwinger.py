@@ -290,6 +290,8 @@ def test_apply_normalized_basics():
     assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= 1e-14
     with pytest.raises(ValueError, match="unit norm"):
         apply_normalized(tab, 2.0 * PSI0)
+    with pytest.raises(ValueError, match="unit norm"):
+        apply_normalized(tab, np.array([np.nan, 0.0, 0.0]))
 
 
 def test_apply_normalized_zero_detuning_matches_exact():
