@@ -4,12 +4,10 @@ Lippmann-Schwinger approximation hierarchy."""
 
 from .model import RamanParams, SplitSquare, SpectralData, h_ae, h_new, \
     split_square, spectral_m0sq
-from .propagators import (AEModel, ae_model, ae_population_1, exact_delta0,
-                          exact_unitary, excited_pop_delta0,
-                          m0_effective_unitary, ode_oracle, state_table)
+from .propagators import AEModel, ae_model, m0_effective_unitary, state_table
 from .lippmann_schwinger import (PropagatorTable, TimeGrid, Variant,
                                  apply_normalized, auto_grid, iterate,
-                                 required_intervals, u0, validate_grid)
+                                 required_intervals, validate_grid)
 from .analysis import (METHODS, Trace, amplitude_p, delta_resonant_ae,
                        delta_resonant_lightshift, fidelity, rabi_ae,
                        rabi_exact_delta0, rabi_general, trace_populations)
@@ -19,10 +17,9 @@ __version__ = "0.1.0"
 __all__ = [
     "RamanParams", "SplitSquare", "SpectralData", "h_ae", "h_new",
     "split_square", "spectral_m0sq",
-    "AEModel", "ae_model", "ae_population_1", "exact_delta0", "exact_unitary",
-    "excited_pop_delta0", "m0_effective_unitary", "ode_oracle", "state_table",
+    "AEModel", "ae_model", "m0_effective_unitary", "state_table",
     "PropagatorTable", "TimeGrid", "Variant", "apply_normalized", "auto_grid",
-    "iterate", "required_intervals", "u0", "validate_grid",
+    "iterate", "required_intervals", "validate_grid",
     "METHODS", "Trace", "amplitude_p", "delta_resonant_ae",
     "delta_resonant_lightshift", "fidelity", "rabi_ae", "rabi_exact_delta0",
     "rabi_general", "trace_populations",

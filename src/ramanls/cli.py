@@ -1,7 +1,7 @@
 """Command-line front end: traces, method comparisons, sweeps, fidelity
 studies and figure presets, all emitted as CSV.
 
-``SCENARIO_KEYS`` is the one list of what each scenario takes: every key
+``SCENARIO_KEYS`` lists exactly the keys each scenario reads: every key
 is its flag ``--key`` and its config-file key alike.  Every scenario
 writes through one path: ``_tables`` yields (path, header, columns) for
 each CSV and ``_write_csv`` writes the columns row by row.
@@ -53,8 +53,11 @@ class UsageError(Exception):
 
 
 def parse_complex_literal(text: str) -> complex:
-    """Parse 'a+bi' (or plain real / pure imaginary) Rabi amplitudes."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
+    """Parse 'a+bi' (or plain real / pure imaginary) Rabi amplitudes.  Only
+    a trailing 'i' is the imaginary unit: 'inf' parses, to be rejected later."""
+    cleaned = text.strip().replace(" ", "")
+    if cleaned[-1:] in ("i", "I"):
+        cleaned = cleaned[:-1] + "j"
     try:
         return complex(cleaned)
     except ValueError:
@@ -79,6 +82,17 @@ def _parse_count(key: str, text: str, minimum: int) -> int:
     if value < minimum:
         raise UsageError(f"{key} must be >= {minimum}: {text!r}")
     return value
+
+
+def _parse_names(key: str, text: str, valid) -> list[str]:
+    """A comma-separated list of at least one name, each one of ``valid``."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise UsageError(f"--{key} names no {key}: {text!r}")
+    for name in names:
+        if name not in valid:
+            raise UsageError(f"unknown {key} {name!r}; valid: {', '.join(valid)}")
+    return names
 
 
 def _parse_psi0(text: str) -> np.ndarray:
@@ -112,18 +126,18 @@ class RunConfig:
 # ----------------------------------------------------------------------
 # argument and config-file parsing
 
-#: Keys every scenario takes.  Each key is at once the flag ``--key``, the
-#: config-file key and the argparse dest.
-_COMMON_KEYS = ("delta-avg", "delta", "omega0", "omega1", "t-end", "dt-end",
-                "points", "psi0", "out")
+_TRACE_KEYS = ("delta-avg", "delta", "omega0", "omega1", "t-end", "dt-end",
+               "points", "psi0", "out", "method", "order")
 
-#: Each scenario mapped to the keys it takes on top of the common ones.
+#: Each scenario mapped to exactly the keys it reads.  Each key is at once
+#: the flag ``--key``, the config-file key and the argparse dest.
 SCENARIO_KEYS = {
-    "evolve": ("method", "order"),
-    "compare": ("method", "order"),
-    "sweep": ("axis", "from", "to", "observable"),
-    "fidelity": ("omega-r-t-max",),
-    "figure": ("id",),
+    "evolve": _TRACE_KEYS,
+    "compare": _TRACE_KEYS,
+    "sweep": ("delta-avg", "delta", "omega0", "omega1", "points", "out",
+              "axis", "from", "to", "observable"),
+    "fidelity": ("delta-avg", "omega0", "omega1", "points", "out", "omega-r-t-max"),
+    "figure": ("id", "points", "psi0", "out"),
 }
 
 
@@ -135,9 +149,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
     for scenario, keys in SCENARIO_KEYS.items():
-        p = sub.add_parser(scenario)
+        # No abbreviations: `fidelity --delta` must not mean --delta-avg.
+        p = sub.add_parser(scenario, allow_abbrev=False)
         p.add_argument("--config", help="key = value file; flags take precedence")
-        for key in _COMMON_KEYS + keys:
+        for key in keys:
             p.add_argument(f"--{key}", dest=key)
     return parser
 
@@ -163,7 +178,7 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
     """Parse argv (plus optional config text) into a validated RunConfig."""
     flags = vars(_build_parser().parse_args(argv))
     rc = RunConfig(scenario=flags.pop("scenario"))
-    keys = _COMMON_KEYS + SCENARIO_KEYS[rc.scenario]
+    keys = SCENARIO_KEYS[rc.scenario]
     cfg: dict[str, str] = {}
     if config_text is not None:
         cfg.update(values_from_text(config_text, keys))
@@ -202,8 +217,6 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
     if t_end is not None:
         rc.t_end = _parse_float("--t-end", t_end)
     elif dt_end is not None:
-        if rc.params is None:
-            raise UsageError("--dt-end needs --delta-avg")
         rc.t_end = _parse_float("--dt-end", dt_end) / abs(rc.params.delta_avg)
     if rc.t_end is not None and not 0 < rc.t_end < math.inf:
         raise UsageError("--t-end must be positive and finite")
@@ -216,10 +229,7 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         if method is None:
             raise UsageError("missing required --method")
         order = 0 if take("order") is None else _parse_count("--order", take("order"), 0)
-        names = [m.strip() for m in method.split(",") if m.strip()]
-        for name in names:
-            if name not in METHODS:
-                raise UsageError(f"unknown method {name!r}; valid: {', '.join(METHODS)}")
+        names = _parse_names("method", method, METHODS)
         if rc.scenario == "evolve" and len(names) != 1:
             raise UsageError("evolve takes exactly one --method; use compare for lists")
         rc.methods = [(name, order) for name in names]
@@ -237,10 +247,7 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         if rc.points is None or rc.points < 2:
             raise UsageError("sweep needs --points >= 2")
         if take("observable") is not None:
-            rc.observables = [o.strip() for o in take("observable").split(",") if o.strip()]
-        for o in rc.observables:
-            if o not in OBSERVABLES:
-                raise UsageError(f"unknown observable {o!r}; valid: {', '.join(OBSERVABLES)}")
+            rc.observables = _parse_names("observable", take("observable"), OBSERVABLES)
     elif rc.scenario == "fidelity":
         if take("omega-r-t-max") is not None:
             rc.omega_r_t_max = _parse_float("--omega-r-t-max", take("omega-r-t-max"))

@@ -141,12 +141,6 @@ def _u0_tables(variant: Variant, params: RamanParams, times: np.ndarray
     return u0_t, cos_vals, sinc_vals, proj
 
 
-def u0(variant: Variant | str, params: RamanParams, t: float) -> np.ndarray:
-    """Zeroth-order propagator of the chosen variant at a single time."""
-    variant = Variant(variant)
-    return _u0_tables(variant, params, np.array([float(t)]))[0][0]
-
-
 # The Born step works on (3, 3, n+1) arrays, time on the last axis, so
 # that every operation below runs over long contiguous rows.  np.matmul
 # on an (n+1, 3, 3) stack multiplies the 3x3 blocks one at a time, and a

@@ -37,14 +37,6 @@ class RamanParams:
             raise ValueError("average detuning must be nonzero")
 
     @property
-    def detuning0(self) -> float:
-        return self.delta_avg + 0.5 * self.delta_2ph
-
-    @property
-    def detuning1(self) -> float:
-        return self.delta_avg - 0.5 * self.delta_2ph
-
-    @property
     def omega(self) -> np.ndarray:
         """Two-component column of Rabi frequencies."""
         return np.array([self.omega0, self.omega1], dtype=complex)

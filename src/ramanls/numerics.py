@@ -20,12 +20,11 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL,
-                      name: str = "matrix") -> np.ndarray:
+def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity and return the symmetrized copy (A + A^dagger)/2.
 
     Raises ValueError naming the max asymmetry if the defect exceeds
-    ``rtol`` relative to the largest entry magnitude.
+    ``HERMITICITY_RTOL`` relative to the largest entry magnitude.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -34,10 +33,10 @@ def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL,
         raise ValueError(f"{name} contains non-finite entries")
     defect = hermiticity_defect(a)
     scale = float(np.abs(a).max())
-    if defect > rtol * max(scale, 1.0):
+    if defect > HERMITICITY_RTOL * max(scale, 1.0):
         raise ValueError(
             f"{name} is not Hermitian: max asymmetry {defect:.3e} "
-            f"exceeds {rtol:g} of scale {scale:.3e}"
+            f"exceeds {HERMITICITY_RTOL:g} of scale {scale:.3e}"
         )
     return 0.5 * (a + a.conj().T)
 

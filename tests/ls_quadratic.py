@@ -3,7 +3,8 @@
 Every node's convolution is a direct weighted sum over all earlier nodes,
 with the kernel table K(t) = sum_m S_m(t) P_m built in full.  It costs
 O(k n^2) time and is kept only as the oracle the separable
-``lippmann_schwinger.iterate`` is checked against.
+``lippmann_schwinger.iterate`` is checked against.  ``u0`` reads the
+zeroth-order propagator at a single time off the package's own tables.
 """
 
 from __future__ import annotations
@@ -84,3 +85,9 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
         table = born_step(variant, u0_t, table, kernel, eps, grid.dt)
     return PropagatorTable(grid=grid, variant=variant, order=order,
                            matrices=table)
+
+
+def u0(variant: Variant | str, params: RamanParams, t: float) -> np.ndarray:
+    """Zeroth-order propagator of the chosen variant at a single time."""
+    variant = Variant(variant)
+    return _u0_tables(variant, params, np.array([float(t)]))[0][0]

@@ -22,8 +22,9 @@ from ramanls.lippmann_schwinger import (TimeGrid, apply_normalized,
                                         auto_grid, iterate)
 from ramanls.model import RamanParams, h_ae, h_new, split_square
 from ramanls.numerics import eig_h3, sinc_sqrt
-from ramanls.propagators import exact_delta0, exact_unitary, state_table
+from ramanls.propagators import state_table
 
+from propagator_oracle import exact_delta0, exact_unitary
 from spectral_oracle import mat_func_h3
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)

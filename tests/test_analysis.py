@@ -7,7 +7,8 @@ from ramanls.analysis import (METHODS, amplitude_p, delta_resonant_ae,
                               trace_populations)
 from ramanls.lippmann_schwinger import TimeGrid, auto_grid
 from ramanls.model import RamanParams
-from ramanls.propagators import ae_population_1
+
+from propagator_oracle import ae_population_1
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
 PSI0 = np.array([1.0, 0.0, 0.0], dtype=complex)

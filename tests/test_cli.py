@@ -11,6 +11,11 @@ from ramanls.lippmann_schwinger import TimeGrid, required_intervals
 from ramanls.model import RamanParams
 
 
+FIDELITY = ["fidelity", "--delta-avg", "400", "--omega0", "120", "--omega1", "40"]
+SWEEP = ["sweep", "--delta-avg", "400", "--omega0", "200", "--omega1", "120",
+         "--axis", "delta", "--from", "-1", "--to", "1", "--points", "3"]
+
+
 def read_lines(path):
     text = path.read_text()
     assert "\r" not in text
@@ -91,6 +96,19 @@ def test_config_text_rejections():
         parse_config(["evolve", "--method", "ae"], config_text="id = 4\n")
 
 
+TRACE_KEYS = {"delta-avg", "delta", "omega0", "omega1", "t-end", "dt-end",
+              "points", "psi0", "out", "method", "order"}
+#: Exactly the keys each scenario reads.
+SCENARIO_KEYS = {
+    "evolve": TRACE_KEYS,
+    "compare": TRACE_KEYS,
+    "sweep": {"delta-avg", "delta", "omega0", "omega1", "points", "out",
+              "axis", "from", "to", "observable"},
+    "fidelity": {"delta-avg", "omega0", "omega1", "points", "out", "omega-r-t-max"},
+    "figure": {"id", "points", "psi0", "out"},
+}
+
+
 def test_every_flag_is_a_config_key():
     parser = cli._build_parser()
     subparsers = next(a for a in parser._actions
@@ -99,7 +117,8 @@ def test_every_flag_is_a_config_key():
     for scenario, sub in subparsers.choices.items():
         keys = [opt[2:] for a in sub._actions if a.dest != "help"
                 for opt in a.option_strings]
-        assert "config" in keys and "delta-avg" in keys
+        assert len(keys) == len(set(keys))
+        assert set(keys) == SCENARIO_KEYS[scenario] | {"config"}, scenario
         for key in keys:
             try:
                 parse_config([scenario], config_text=f"{key} = 1\n")
@@ -107,6 +126,25 @@ def test_every_flag_is_a_config_key():
                 assert ("unknown config key" in str(exc)) == (key == "config"), (scenario, key)
             else:
                 assert key != "config"
+
+
+def test_keys_a_scenario_does_not_read_are_rejected(tmp_path):
+    base = {"figure": ["figure", "--id", "3a"], "fidelity": FIDELITY, "sweep": SWEEP}
+    unread = {
+        "figure": ("delta-avg", "delta", "omega0", "omega1", "t-end", "dt-end"),
+        "fidelity": ("delta", "t-end", "dt-end", "psi0"),
+        "sweep": ("t-end", "dt-end", "psi0"),
+    }
+    assert sum(map(len, unread.values())) == 13
+    for scenario, keys in unread.items():
+        for key in keys:
+            value = "0,1,0" if key == "psi0" else "1"
+            out = tmp_path / f"{scenario}-{key}"
+            argv = base[scenario] + [f"--out={out}"]
+            assert cli.main(argv + [f"--{key}", value]) == EXIT_USAGE, (scenario, key)
+            assert not out.exists()
+            with pytest.raises(UsageError, match=f"unknown config key '{key}'"):
+                parse_config(argv, config_text=f"{key} = {value}\n")
 
 
 def test_parse_config_rejections():
@@ -127,21 +165,27 @@ def test_parse_config_rejections():
                       "--method", "ae"])
     evolve = ["evolve", "--delta-avg", "400", "--omega0", "1", "--omega1", "1",
               "--method", "ae"]
-    fidelity = ["fidelity", "--delta-avg", "400", "--omega0", "120", "--omega1", "40"]
     for argv, match in (
-            (fidelity + ["--omega-r-t-max", "nan"], "--omega-r-t-max must be finite"),
-            (fidelity + ["--omega-r-t-max", "inf"], "--omega-r-t-max must be finite"),
+            (FIDELITY + ["--omega-r-t-max", "nan"], "--omega-r-t-max must be finite"),
+            (FIDELITY + ["--omega-r-t-max", "inf"], "--omega-r-t-max must be finite"),
             (evolve + ["--t-end", "inf"], "--t-end must be finite"),
             (["evolve", "--delta-avg", "1e-10", "--omega0", "1", "--omega1", "1",
               "--method", "ae", "--dt-end", "1e308"], "--t-end must be positive and finite"),
             (evolve + ["--t-end", "1", "--delta=-inf"], "--delta must be finite"),
             (evolve + ["--t-end", "1", "--points", "0"], "--points must be >= 1"),
             (evolve + ["--t-end", "1", "--points", "-2"], "--points must be >= 1"),
-            (fidelity + ["--points", "0"], "--points must be >= 1"),
-            (fidelity + ["--points", "-3"], "--points must be >= 1"),
+            (FIDELITY + ["--points", "0"], "--points must be >= 1"),
+            (FIDELITY + ["--points", "-3"], "--points must be >= 1"),
             (evolve + ["--t-end", "1", "--order", "-1"], "--order must be >= 0"),
             (evolve + ["--t-end", "1", "--psi0", "nan,0,0"], "--psi0"),
-            (evolve + ["--t-end", "1", "--psi0", "1,1e400,0"], "--psi0")):
+            (evolve + ["--t-end", "1", "--psi0", "1,1e400,0"], "--psi0"),
+            (evolve + ["--t-end", "1", "--psi0", "1,inf,0"], "--psi0 must be nonzero and finite"),
+            (FIDELITY + ["--omega0", "inf"], "must be finite"),
+            (FIDELITY + ["--omega1=-Infinity"], "must be finite"),
+            (FIDELITY + ["--omega0", "1e400"], "must be finite"),
+            (["compare", "--delta-avg", "400", "--omega0", "1", "--omega1", "1",
+              "--t-end", "1", "--method", ","], "--method"),
+            (SWEEP + ["--observable", ","], "--observable")):
         with pytest.raises(UsageError, match=match):
             parse_config(argv)
 

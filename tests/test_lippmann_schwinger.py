@@ -4,12 +4,13 @@ import pytest
 from ramanls.lippmann_schwinger import (GRID_PHASE_LIMIT, PropagatorTable,
                                         TimeGrid, Variant, apply_normalized,
                                         auto_grid, iterate,
-                                        required_intervals, u0, validate_grid)
+                                        required_intervals, validate_grid)
 from ramanls.model import RamanParams, h_new, spectral_m0sq, split_square
 from ramanls.numerics import eig_h3, sinc_sqrt
-from ramanls.propagators import exact_unitary
 
 import ls_quadratic
+from ls_quadratic import u0
+from propagator_oracle import exact_unitary
 from spectral_oracle import mat_func_h3
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)

@@ -23,7 +23,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         RamanParams(400.0, float("nan"), 1.0, 1.0)
     p = RamanParams(400.0, -16.0, 200.0, 120.0)
-    assert p.detuning0 == 392.0 and p.detuning1 == 408.0
     assert p.omega_sq == 54400.0 and p.omega_imbalance == 25600.0
 
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ramanls.model import RamanParams, h_ae, h_new
-from ramanls.propagators import (ae_model, ae_population_1, exact_delta0,
-                                 exact_unitary, excited_pop_delta0,
-                                 m0_effective_unitary, ode_oracle, state_table)
+from ramanls.propagators import ae_model, m0_effective_unitary, state_table
 from ramanls.analysis import amplitude_p, rabi_ae, rabi_exact_delta0, rabi_general
+
+from propagator_oracle import (ae_population_1, exact_delta0, exact_unitary,
+                               excited_pop_delta0, ode_oracle)
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
 FIG3 = {
@@ -124,10 +125,7 @@ def test_ae_model_consistency_with_eigensystem():
         p = random_params(rng)
         m = ae_model(p)
         lam = np.linalg.eigvalsh(m.h_eff)
-        assert m.e_minus == pytest.approx(lam[0], rel=1e-12, abs=1e-12)
-        assert m.e_plus == pytest.approx(lam[1], rel=1e-12, abs=1e-12)
-        assert m.omega_r == pytest.approx(m.e_plus - m.e_minus, rel=1e-10, abs=1e-12)
-        assert np.abs(m.sigma_o @ m.sigma_o - np.eye(2)).max() < 1e-12
+        assert m.omega_r == pytest.approx(lam[1] - lam[0], rel=1e-10, abs=1e-12)
         # literal quadratic form of the squared Rabi frequency
         s, w = p.omega_sq, p.omega_imbalance
         d, dd = p.delta_avg, p.delta_2ph
