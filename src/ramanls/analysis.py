@@ -3,7 +3,9 @@
 Effective Rabi frequencies from the three treatments, the two resonance
 detunings plus the self-consistent light-shift solution, the transfer
 amplitude, state fidelity, and a uniform population-trace record for
-every propagation method the package offers.
+every propagation method the package offers.  The Rabi frequencies and
+the amplitude read the closed-form Raman block, so they stay accurate to
+a few ulps at weak drive, where adiabatic elimination is reliable.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lippmann_schwinger import TimeGrid, Variant, apply_normalized, iterate
-from .model import RamanParams, h_ae, h_new, spectral_m0sq
+from .model import RamanParams, _raman_block, h_ae, h_new, spectral_m0sq
 from .propagators import (ae_model, m0_effective_unitary, mode_factors, rk4,
                           rk4_steps, state_table)
 
@@ -40,20 +42,18 @@ def rabi_exact_delta0(params: RamanParams) -> float:
     """Exact effective Rabi frequency at zero two-photon detuning."""
     if params.delta_2ph != 0.0:
         raise ValueError("rabi_exact_delta0 requires zero two-photon detuning")
-    d = params.delta_avg
-    return 0.5 * (math.sqrt(d * d + params.omega_sq) - abs(d))
+    return rabi_general(params)
 
 
 def rabi_general(params: RamanParams) -> float:
-    """Effective Rabi frequency mu_plus - mu_minus from the split square."""
-    sd = spectral_m0sq(params)
-    return sd.mu_plus - sd.mu_minus
+    """Effective Rabi frequency mu_plus - mu_minus of the split square,
+    taken as 2r/(mu_plus + mu_minus) so that weak drives do not cancel."""
+    _, _, r, mu_plus_sq, mu_minus_sq = _raman_block(params)
+    return 2.0 * r / (math.sqrt(mu_plus_sq) + math.sqrt(mu_minus_sq))
 
 
 def delta_resonant_ae(params: RamanParams) -> float:
     """Two-photon detuning cancelling the AE effective detuning."""
-    if params.delta_avg == 0:
-        raise ValueError("average detuning must be nonzero")
     return -params.omega_imbalance / (4.0 * params.delta_avg)
 
 
@@ -66,8 +66,6 @@ def delta_resonant_lightshift(params: RamanParams) -> tuple[float, float]:
     seeded at the closed form.
     """
     d = params.delta_avg
-    if d == 0:
-        raise ValueError("average detuning must be nonzero")
     o0_sq = abs(params.omega0) ** 2
     o1_sq = abs(params.omega1) ** 2
     approx = 2.0 * d * (o1_sq - o0_sq) / (8.0 * d * d + o0_sq + o1_sq)
@@ -90,14 +88,12 @@ def delta_resonant_lightshift(params: RamanParams) -> tuple[float, float]:
 
 
 def amplitude_p(params: RamanParams) -> float:
-    """Transfer oscillation amplitude of the effective two-level model."""
-    s = params.omega_sq
-    w = params.omega_imbalance
-    four_dd = 4.0 * params.delta_2ph * params.delta_avg
-    den = s * s + 2.0 * four_dd * w + four_dd * four_dd
-    if den == 0:
-        raise ValueError("amplitude undefined: zero drive and zero detuning product")
-    return 1.0 - (w + four_dd) ** 2 / den
+    """Transfer oscillation amplitude |b|^2/r^2 of the effective two-level
+    model, from the closed form of the Raman block."""
+    _, b, r, _, _ = _raman_block(params)
+    if r == 0:
+        raise ValueError("amplitude undefined: degenerate Raman block")
+    return (abs(b) / r) ** 2
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

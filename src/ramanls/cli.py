@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -157,6 +158,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv) -> list[str]:
+    """Write '--key -1e-3' as '--key=-1e-3'.  argparse takes a value that
+    starts with '-' for an option unless it is a plain negative number;
+    here '-' followed by a digit or '.' always starts a value."""
+    flags = {f"--{k}" for keys in SCENARIO_KEYS.values() for k in (*keys, "config")}
+    out: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if out and out[-1] in flags and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def values_from_text(text: str, keys) -> dict[str, str]:
     """Parse 'key = value' lines into a dict; '#' starts a comment and
     every key must be one of ``keys``."""
@@ -176,7 +191,7 @@ def values_from_text(text: str, keys) -> dict[str, str]:
 
 def parse_config(argv, config_text: str | None = None) -> RunConfig:
     """Parse argv (plus optional config text) into a validated RunConfig."""
-    flags = vars(_build_parser().parse_args(argv))
+    flags = vars(_build_parser().parse_args(_attach_signed_values(argv)))
     rc = RunConfig(scenario=flags.pop("scenario"))
     keys = SCENARIO_KEYS[rc.scenario]
     cfg: dict[str, str] = {}
@@ -251,6 +266,8 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
     elif rc.scenario == "fidelity":
         if take("omega-r-t-max") is not None:
             rc.omega_r_t_max = _parse_float("--omega-r-t-max", take("omega-r-t-max"))
+            if not rc.omega_r_t_max > 0:
+                raise UsageError("--omega-r-t-max must be positive")
     else:
         fid = take("id")
         if fid is None:

@@ -5,12 +5,15 @@ angular frequency in rad/us (displayed as "MHz" by the CLI), time in us.
 Two interaction pictures are used: the usual one behind adiabatic
 elimination (``h_ae``) and the shifted one whose Hamiltonian squares into
 a block-diagonal part plus a small off-diagonal remainder (``h_new``).
+The upper 2x2 (Raman) block of that part is solved once, in closed form,
+by ``_raman_block``: every eigenvalue, projector, Rabi frequency and
+amplitude of the package reads it, and none cancels at weak drive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,16 +74,13 @@ class SpectralData:
 
     The three projectors (upper-block plus/minus, excited slot) are 3x3,
     Hermitian, idempotent, mutually orthogonal and sum to the identity;
-    sum_i mu_i^2 P_i reconstructs m0sq.  ``axis_fallback`` flags the
-    degenerate drive case (one Rabi frequency zero) where the upper block
-    is diagonal and the split is taken along the coordinate axes.
+    sum_i mu_i^2 P_i reconstructs m0sq.
     """
 
     mu_plus_sq: float
     mu_minus_sq: float
     mu_e_sq: float
     projectors: tuple[np.ndarray, np.ndarray, np.ndarray]
-    axis_fallback: bool = field(default=False)
 
     @property
     def mu_plus(self) -> float:
@@ -148,52 +148,39 @@ def split_square(params: RamanParams, *, eps_scale: float = 1.0) -> SplitSquare:
     return SplitSquare(m0sq=m0sq, eps=eps)
 
 
+def _raman_block(params: RamanParams):
+    """The upper 2x2 block of m0sq as c I + [[a, b], [b*, -a]], in closed form.
+
+    Returns ``(a, b, r, mu_plus_sq, mu_minus_sq)`` with r = hypot(a, |b|),
+    half the eigenvalue gap.  mu_plus_sq = c + r sums positive terms, and
+    mu_minus_sq = det/mu_plus_sq with det a sum of squares, so neither
+    cancels at weak drive and mu_minus_sq is never negative.
+    """
+    d, dd = params.delta_avg, params.delta_2ph
+    a = 0.5 * dd * d + 0.125 * params.omega_imbalance
+    b = 0.25 * params.omega0 * np.conj(params.omega1)
+    r = math.hypot(a, abs(b))
+    mu_plus_sq = 0.25 * (d * d + dd * dd) + 0.125 * params.omega_sq + r
+    det = (((d - dd) * (d + dd)) ** 2 + (d + dd) ** 2 * abs(params.omega1) ** 2
+           + (d - dd) ** 2 * abs(params.omega0) ** 2)
+    return a, b, r, mu_plus_sq, det / (16.0 * mu_plus_sq)
+
+
 def spectral_m0sq(params: RamanParams) -> SpectralData:
     """Spectral decomposition of m0sq: eigenvalues and 3x3 projectors.
 
-    The upper 2x2 block is diagonalized in closed form; the excited slot
-    contributes the detuning-independent eigenvalue (delta_avg^2 +
-    omega_sq)/4.  With one drive off the block is already diagonal and the
-    coordinate split is used (axis_fallback).
+    The upper block is c I + T with T traceless and T^2 = r^2 I, so its
+    projectors are (I +- T/r)/2; a degenerate block (r == 0) is split along
+    the axes.  The excited slot has the detuning-independent eigenvalue
+    (delta_avg^2 + omega_sq)/4.
     """
-    d, dd = params.delta_avg, params.delta_2ph
-    s = params.omega_sq
-    w = params.omega_imbalance
-    four_dd_d = 4.0 * dd * d
-    gap_sq = s * s + 2.0 * four_dd_d * w + four_dd_d * four_dd_d
-    gap = 0.25 * math.sqrt(max(gap_sq, 0.0))  # mu_plus_sq - mu_minus_sq
-    center = 0.25 * (d * d + dd * dd) + 0.125 * s
-    mu_plus_sq = center + 0.5 * gap
-    mu_minus_sq = center - 0.5 * gap
-    mu_e_sq = 0.25 * (d * d + s)
-
-    block = split_square(params).m0sq[:2, :2]
-    p_plus = np.zeros((3, 3), dtype=complex)
-    p_minus = np.zeros((3, 3), dtype=complex)
-    p_e = np.zeros((3, 3), dtype=complex)
-    p_e[2, 2] = 1.0
-
-    axis_fallback = params.omega0 == 0 or params.omega1 == 0
-    if axis_fallback:
-        # Block is diagonal; order the axes by eigenvalue.
-        b00, b11 = block[0, 0].real, block[1, 1].real
-        hi, lo = (0, 1) if b00 >= b11 else (1, 0)
-        mu_plus_sq, mu_minus_sq = max(b00, b11), min(b00, b11)
-        p_plus[hi, hi] = 1.0
-        p_minus[lo, lo] = 1.0
-    elif gap <= 1e-14 * max(abs(mu_plus_sq), 1.0):
-        # Fully degenerate block: keep the coordinate split.
-        p_plus[0, 0] = 1.0
-        p_minus[1, 1] = 1.0
-    else:
-        p2 = (block - mu_minus_sq * np.eye(2)) / gap
-        p_plus[:2, :2] = p2
-        p_minus[:2, :2] = np.eye(2) - p2
-
-    return SpectralData(
-        mu_plus_sq=mu_plus_sq,
-        mu_minus_sq=mu_minus_sq,
-        mu_e_sq=mu_e_sq,
-        projectors=(p_plus, p_minus, p_e),
-        axis_fallback=axis_fallback,
-    )
+    a, b, r, mu_plus_sq, mu_minus_sq = _raman_block(params)
+    d = params.delta_avg
+    t = np.diag([1.0, -1.0]) if r == 0 else np.array([[a, b], [np.conj(b), -a]]) / r
+    proj = np.zeros((3, 3, 3), dtype=complex)
+    proj[0, :2, :2] = 0.5 * (np.eye(2) + t)
+    proj[1, :2, :2] = 0.5 * (np.eye(2) - t)
+    proj[2, 2, 2] = 1.0
+    return SpectralData(mu_plus_sq=mu_plus_sq, mu_minus_sq=mu_minus_sq,
+                        mu_e_sq=0.25 * (d * d + params.omega_sq),
+                        projectors=tuple(proj))

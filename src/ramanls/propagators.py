@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RamanParams, SpectralData, spectral_m0sq
+from .model import RamanParams, SpectralData, _raman_block, spectral_m0sq
 from .numerics import eig_h3, sinc_sqrt
 
 
@@ -71,8 +71,6 @@ def rk4(h: np.ndarray, x: np.ndarray, dt: float, steps: int) -> np.ndarray:
 def ae_model(params: RamanParams) -> AEModel:
     """Effective 2x2 model after adiabatic elimination of the excited level."""
     d = params.delta_avg
-    if d == 0:
-        raise ValueError("adiabatic elimination is undefined at zero average detuning")
     dd = params.delta_2ph
     o0, o1 = params.omega0, params.omega1
     cross = o0 * np.conj(o1) / (2.0 * d)
@@ -83,10 +81,8 @@ def ae_model(params: RamanParams) -> AEModel:
         ],
         dtype=complex,
     )
-    # Stable sum-of-squares form of the effective Rabi frequency.
-    omega_r = math.hypot(dd + params.omega_imbalance / (4.0 * d),
-                         abs(o0) * abs(o1) / (2.0 * d))
-    return AEModel(h_eff=h_eff, omega_r=omega_r)
+    # h_eff is -T/d plus a multiple of I, T the traceless Raman block.
+    return AEModel(h_eff=h_eff, omega_r=2.0 * _raman_block(params)[2] / abs(d))
 
 
 def mode_factors(sd: SpectralData, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,6 +59,26 @@ def test_parse_config_psi0():
     assert np.allclose(rc.psi0, [0, 1, 0])
 
 
+def test_signed_values_parse_as_their_attached_form(capsys):
+    # argparse reads a value such as -1e-3 or -30+70i as an option unless
+    # it is attached with '='; both spellings must give the same config.
+    evolve = ["evolve", "--delta-avg", "400", "--omega0", "1", "--omega1", "1",
+              "--t-end", "1", "--method", "ae"]
+    for base, key, value in ((evolve, "--delta", "-1e-3"),
+                             (evolve, "--delta-avg", "-4e2"),
+                             (evolve, "--omega1", "-30+70i"),
+                             (evolve, "--psi0", "-1,0,0"),
+                             (SWEEP, "--from", "-1e1")):
+        spaced = parse_config(base + [key, value])
+        attached = parse_config(base + [f"{key}={value}"])
+        assert spaced.params == attached.params
+        assert spaced.sweep_from == attached.sweep_from
+        assert np.array_equal(spaced.psi0, attached.psi0)
+    assert parse_config(evolve + ["--omega1", "-30+70i"]).params.omega1 == -30 + 70j
+    assert cli.main(evolve + ["--delta", "--omega0", "1"]) == EXIT_USAGE
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_parse_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -168,6 +188,8 @@ def test_parse_config_rejections():
     for argv, match in (
             (FIDELITY + ["--omega-r-t-max", "nan"], "--omega-r-t-max must be finite"),
             (FIDELITY + ["--omega-r-t-max", "inf"], "--omega-r-t-max must be finite"),
+            (FIDELITY + ["--omega-r-t-max=-3"], "--omega-r-t-max must be positive"),
+            (FIDELITY + ["--omega-r-t-max", "0"], "--omega-r-t-max must be positive"),
             (evolve + ["--t-end", "inf"], "--t-end must be finite"),
             (["evolve", "--delta-avg", "1e-10", "--omega0", "1", "--omega1", "1",
               "--method", "ae", "--dt-end", "1e308"], "--t-end must be positive and finite"),

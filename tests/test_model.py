@@ -17,6 +17,15 @@ def random_params(rng):
     )
 
 
+def probe_params(rng):
+    """Weak to strong drives: |omega| log-uniform in [0.01, 316], |Delta|
+    log-uniform in [1, 1e3], delta = 0 for a third of the draws."""
+    d = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 3.0)
+    omegas = 10.0 ** rng.uniform(-2.0, 2.5, size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
+    dd = 0.0 if rng.uniform() < 1.0 / 3.0 else rng.uniform(-1.0, 1.0) * abs(d)
+    return RamanParams(d, dd, omegas[0], omegas[1])
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         RamanParams(0.0, 0.0, 1.0, 1.0)
@@ -121,8 +130,9 @@ def test_spectral_dark_projector_at_delta0():
 
 def test_spectral_projector_invariants_and_reconstruction():
     rng = np.random.default_rng(9)
-    for _ in range(30):
-        p = random_params(rng)
+    draws = [random_params(rng) for _ in range(30)]
+    draws += [probe_params(rng) for _ in range(2000)]
+    for p in draws:
         sd = spectral_m0sq(p)
         total = np.zeros((3, 3), dtype=complex)
         for proj in sd.projectors:
@@ -182,11 +192,16 @@ def test_spectral_gap_formula_and_resonant_value():
 def test_spectral_axis_fallback_single_drive():
     p = RamanParams(400.0, 20.0, 150.0, 0.0)
     sd = spectral_m0sq(p)
-    assert sd.axis_fallback
     block = split_square(p).m0sq[:2, :2]
     recon = (sd.mu_plus_sq * sd.projectors[0][:2, :2]
              + sd.mu_minus_sq * sd.projectors[1][:2, :2])
     assert np.abs(recon - block).max() < 1e-12 * np.abs(block).max()
     assert sd.mu_plus_sq >= sd.mu_minus_sq
-    full = spectral_m0sq(RamanParams(400.0, 20.0, 150.0, 90.0))
-    assert not full.axis_fallback
+
+
+def test_spectral_one_drive_off_at_one_photon_resonance():
+    # Delta + delta = 0 with omega0 = 0: |0> decouples at zero energy.
+    sd = spectral_m0sq(RamanParams(0.3, -0.3, 0.0, 0.37))
+    assert sd.mu_minus_sq == 0.0
+    assert sd.mu_minus == 0.0
+    assert np.array_equal(sd.projectors[1], np.diag([1.0, 0.0, 0.0]))
