@@ -147,12 +147,12 @@ def _delta0(params, psi0, grid, order, dt_max):
         raise ValueError("method delta0 requires zero two-photon detuning")
     sd = spectral_m0sq(params)
     proj = np.stack(sd.projectors)
-    cos_vals, sinc_vals = mode_factors(sd, grid.times)
+    cos_rows, sinc_rows = mode_factors(sd, grid.times)
     hpsi = h_new(params) @ psi0
     # Contracted straight into states: an (n+1, 3, 3) operator table
     # would double the peak memory of long traces.
-    return (np.einsum("ti,iab,b->ta", cos_vals, proj, psi0)
-            - 1j * np.einsum("ti,iab,b->ta", sinc_vals, proj, hpsi))
+    return (np.einsum("it,iab,b->ta", cos_rows, proj, psi0)
+            - 1j * np.einsum("it,iab,b->ta", sinc_rows, proj, hpsi))
 
 
 def _ls(variant):

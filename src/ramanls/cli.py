@@ -8,8 +8,8 @@ each CSV and ``_write_csv`` writes the columns row by row.
 
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
-figure presets.  Exit codes: 0 success, 2 usage error, 3 numerical
-failure.
+figure presets.  Exit codes: 0 success, 2 usage error (an output path
+that cannot be written included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -275,6 +275,8 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         if fid not in PRESETS and fid not in PRESET_GROUPS:
             known = ", ".join(sorted(list(PRESETS) + list(PRESET_GROUPS)))
             raise UsageError(f"unknown figure id {fid!r}; valid: {known}")
+        if take("psi0") is not None and "fidelity" in PRESETS.get(fid, {}):
+            raise UsageError(f"figure {fid} is a fidelity study and reads no --psi0")
         rc.figure_id = fid
     return rc
 
@@ -319,15 +321,14 @@ PRESET_GROUPS = {"3": ["3a", "3b", "3c"], "4": ["4a", "4b"]}
 # ----------------------------------------------------------------------
 # output
 
-def _write_csv(path: Path, header, columns) -> None:
-    """Write equal-length columns: a list of str as is, a float array at
-    17 significant digits.  Cells are formatted row by row as they are
-    written, never held as strings all at once."""
+def _write_csv(fh, header, columns) -> None:
+    """Write equal-length columns to an open file: a list of str as is, a
+    float array at 17 significant digits.  Cells are formatted row by row
+    as they are written, never held as strings all at once."""
     cells = [col if isinstance(col, list) else map("{:.17g}".format, col.tolist())
              for col in columns]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    fh.write(",".join(header) + "\n")
+    fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _grid_for(params: RamanParams, t_end: float, points: int | None,
@@ -423,17 +424,22 @@ def _tables(config: RunConfig):
 def run(config: RunConfig) -> list[Path]:
     """Execute a RunConfig; returns the written paths.
 
-    Any numerical rejection from the library surfaces as ValueError after
-    partially written files have been removed.
+    Any numerical rejection from the library surfaces as ValueError, and a
+    path that cannot be written as UsageError, after the files this run
+    opened for writing have been removed.
     """
     written: list[Path] = []
     try:
         for path, header, columns in _tables(config):
-            written.append(path)
-            _write_csv(path, header, columns)
-    except Exception:
+            with open(path, "w", newline="\n") as fh:
+                written.append(path)
+                _write_csv(fh, header, columns)
+    except Exception as exc:
         for path in written:
             path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write {exc.filename or config.out}: "
+                             f"{exc.strerror}") from None
         raise
     return written
 
@@ -441,17 +447,17 @@ def run(config: RunConfig) -> list[Path]:
 def main(argv=None) -> int:
     try:
         config = parse_config(argv, None)
+        try:
+            run(config)
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            print(f"numerical failure in scenario {config.scenario}: {exc}",
+                  file=sys.stderr)
+            return EXIT_NUMERICAL
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        run(config)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure in scenario {config.scenario}: {exc}",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -9,10 +9,10 @@ K(tau) = sin(M0 tau)/M0,
     S:  half the sum of both, around U0_S = (U0_R + U0_L)/2.
 
 Born-style iteration (substituting the previous order into the right-hand
-side, starting from the zeroth-order propagator) gives approximations
-accurate to order (eps/M0^2)^(k+1).  The M variant is the arithmetic mean
-of the R and L tables of the same order, which is a valid alternative to
-S for k >= 1.
+side, starting from U0 = sum_m C_m P_m - i S_m B_m with one constant 3x3
+B_m per mode and variant) gives approximations accurate to order
+(eps/M0^2)^(k+1).  The M variant is the arithmetic mean of the R and L
+tables of the same order, which is a valid alternative to S for k >= 1.
 
 All integrals are composite-Simpson sums over grid prefixes: plain
 Simpson for even prefix lengths, Simpson plus a 3/8 tail segment for odd
@@ -40,6 +40,7 @@ memory, order k O(k n) time, and no weight matrix is ever stored.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -69,9 +70,9 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
-        if self.n < 2 or self.n % 2 != 0:
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
+        if not isinstance(self.n, numbers.Integral) or self.n < 2 or self.n % 2:
             raise ValueError("n must be an even integer >= 2")
 
     @property
@@ -122,30 +123,28 @@ def _u0_tables(variant: Variant, params: RamanParams, times: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Zeroth-order table and the kernel's spectral pieces on the grid.
 
-    Returns ``(u0_t, cos_vals, sinc_vals, proj)``: the (n+1, 3, 3) table,
-    C_m(t) and S_m(t) as (n+1, 3) columns, one per mode, and the (3, 3, 3)
-    projectors P_m.
+    U0(t) = sum_m C_m(t) P_m - i S_m(t) B_m with B_m = P_m H (R), H P_m (L)
+    or (P_m H + H P_m)/2 (S, M), one contraction of the mode rows.  Returns
+    ``(u0, cos_rows, sinc_rows, proj)``: the (3, 3, n+1) table, C_m(t) and
+    S_m(t) as (3, n+1) rows, and the (3, 3, 3) projectors P_m.
     """
     sd = spectral_m0sq(params)
     proj = np.stack(sd.projectors)
-    cos_vals, sinc_vals = mode_factors(sd, times)
-    cos_t = np.einsum("ti,iab->tab", cos_vals, proj)
-    kernel = np.einsum("ti,iab->tab", sinc_vals, proj)
+    cos_rows, sinc_rows = mode_factors(sd, times)
     h = h_new(params)
-    if variant is Variant.R:
-        u0_t = cos_t - 1j * (kernel @ h)
-    elif variant is Variant.L:
-        u0_t = cos_t - 1j * np.matmul(h, kernel)
-    else:  # S and M coincide at order zero
-        u0_t = cos_t - 0.5j * (kernel @ h + np.matmul(h, kernel))
-    return u0_t, cos_vals, sinc_vals, proj
+    ph, hp = proj @ h, h @ proj  # B for R and L; S and M take their mean
+    b = {Variant.R: ph, Variant.L: hp}.get(variant, 0.5 * (ph + hp))
+    u0 = np.einsum("mab,mt->abt", np.concatenate([proj, -1j * b]),
+                   np.concatenate([cos_rows, sinc_rows]))
+    return u0, cos_rows, sinc_rows, proj
 
 
-# The Born step works on (3, 3, n+1) arrays, time on the last axis, so
-# that every operation below runs over long contiguous rows.  np.matmul
-# on an (n+1, 3, 3) stack multiplies the 3x3 blocks one at a time, and a
-# BLAS product over the flattened table may start threads; _left and
-# _right avoid both.
+# Every table, U0 included, is a (3, 3, n+1) array, time on the last
+# axis, so that every operation runs over long contiguous rows; only the
+# returned PropagatorTable is transposed to one 3x3 matrix per node.
+# np.matmul on an (n+1, 3, 3) stack multiplies the 3x3 blocks one at a
+# time, and a BLAS product over the flattened table may start threads;
+# _u0_tables, _left and _right avoid both.
 
 
 def _simpson_prefix(b: np.ndarray, dt: float, out: np.ndarray) -> None:
@@ -256,16 +255,11 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
         return PropagatorTable(grid=grid, variant=variant, order=order,
                                matrices=mats)
 
-    u0_t, cos_vals, sinc_vals, proj = _u0_tables(variant, params, grid.times)
-    if order == 0:
-        return PropagatorTable(grid=grid, variant=variant, order=order,
-                               matrices=u0_t)
-    eps = split_square(params, eps_scale=eps_scale).eps
-    step = (eps, grid.dt, np.ascontiguousarray(cos_vals.T),
-            np.ascontiguousarray(sinc_vals.T), _mode_basis(proj))
-    u0_rows = np.ascontiguousarray(u0_t.transpose(1, 2, 0))
-
-    table = u0_rows
+    u0, cos_rows, sinc_rows, proj = _u0_tables(variant, params, grid.times)
+    if order:
+        step = (split_square(params, eps_scale=eps_scale).eps, grid.dt,
+                cos_rows, sinc_rows, _mode_basis(proj))
+    table = u0
     for _ in range(order):
         if variant is Variant.R:
             corr = _born_integral(table, *step, right=False)
@@ -275,7 +269,7 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
             corr = _born_integral(table, *step, right=False)
             corr += _born_integral(table, *step, right=True)
             corr *= 0.5
-        table = u0_rows - corr
+        table = u0 - corr
     return PropagatorTable(grid=grid, variant=variant, order=order,
                            matrices=np.ascontiguousarray(table.transpose(2, 0, 1)))
 

@@ -88,12 +88,11 @@ def ae_model(params: RamanParams) -> AEModel:
 def mode_factors(sd: SpectralData, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos(mu_m t) and sin(mu_m t)/mu_m of the three modes of M0^2.
 
-    Both are (len(times), 3) arrays, one column per projector of ``sd``,
-    evaluated from mu_m^2 so that mu_m -> 0 never divides.
+    Both are (3, len(times)) arrays, time last, one row per projector of
+    ``sd``, evaluated from mu_m^2 >= 0 so that mu_m -> 0 never divides.
     """
-    mus_sq = np.array([sd.mu_plus_sq, sd.mu_minus_sq, sd.mu_e_sq])
-    t = np.asarray(times, dtype=float)[:, None]
-    return np.cos(np.sqrt(np.maximum(mus_sq, 0.0)) * t), sinc_sqrt(mus_sq, t)
+    mus_sq = np.array([sd.mu_plus_sq, sd.mu_minus_sq, sd.mu_e_sq])[:, None]
+    return np.cos(np.sqrt(mus_sq) * times), sinc_sqrt(mus_sq, times)
 
 
 def m0_effective_unitary(params: RamanParams, t: float | np.ndarray) -> np.ndarray:

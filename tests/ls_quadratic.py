@@ -3,8 +3,11 @@
 Every node's convolution is a direct weighted sum over all earlier nodes,
 with the kernel table K(t) = sum_m S_m(t) P_m built in full.  It costs
 O(k n^2) time and is kept only as the oracle the separable
-``lippmann_schwinger.iterate`` is checked against.  ``u0`` reads the
-zeroth-order propagator at a single time off the package's own tables.
+``lippmann_schwinger.iterate`` is checked against.  Its zeroth order is
+built here as (n+1, 3, 3) projector sums with the Hamiltonian multiplied
+on the stated side, independently of the package's zeroth-order table.
+``u0`` reads the zeroth-order propagator at a single time off the
+package's own tables.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import numpy as np
 
 from ramanls.lippmann_schwinger import (PropagatorTable, TimeGrid, Variant,
                                         _u0_tables, validate_grid)
-from ramanls.model import RamanParams, split_square
+from ramanls.model import RamanParams, h_new, spectral_m0sq, split_square
+from ramanls.propagators import mode_factors
 
 
 def prefix_weights(i: int, dt: float) -> np.ndarray:
@@ -41,10 +45,30 @@ def prefix_weights(i: int, dt: float) -> np.ndarray:
     return w
 
 
+def _projector_sums(params: RamanParams, times: np.ndarray):
+    """cos(M0 t) and K(t) = sin(M0 t)/M0 as (n+1, 3, 3) tables."""
+    sd = spectral_m0sq(params)
+    proj = np.stack(sd.projectors)
+    cos_rows, sinc_rows = mode_factors(sd, times)
+    return (np.einsum("it,iab->tab", cos_rows, proj),
+            np.einsum("it,iab->tab", sinc_rows, proj))
+
+
 def kernel_table(params: RamanParams, times: np.ndarray) -> np.ndarray:
     """K(t) = sin(M0 t)/M0 as an (n+1, 3, 3) table."""
-    _, _, sinc_vals, proj = _u0_tables(Variant.R, params, times)
-    return np.einsum("ti,iab->tab", sinc_vals, proj)
+    return _projector_sums(params, times)[1]
+
+
+def u0_table(variant: Variant, params: RamanParams, times: np.ndarray) -> np.ndarray:
+    """Zeroth order as an (n+1, 3, 3) table: cos(M0 t) - i K H for R,
+    cos(M0 t) - i H K for L, and their mean for S and M."""
+    cos_t, kernel = _projector_sums(params, times)
+    h = h_new(params)
+    if variant is Variant.R:
+        return cos_t - 1j * (kernel @ h)
+    if variant is Variant.L:
+        return cos_t - 1j * np.matmul(h, kernel)
+    return cos_t - 0.5j * (kernel @ h + np.matmul(h, kernel))
 
 
 def born_step(variant: Variant, u0_t: np.ndarray, prev: np.ndarray,
@@ -77,7 +101,7 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
                       + iterate("L", params, grid, order, eps_scale=eps_scale).matrices)
         return PropagatorTable(grid=grid, variant=variant, order=order,
                                matrices=mats)
-    u0_t = _u0_tables(variant, params, grid.times)[0]
+    u0_t = u0_table(variant, params, grid.times)
     kernel = kernel_table(params, grid.times)
     eps = split_square(params, eps_scale=eps_scale).eps
     table = u0_t
@@ -90,4 +114,4 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
 def u0(variant: Variant | str, params: RamanParams, t: float) -> np.ndarray:
     """Zeroth-order propagator of the chosen variant at a single time."""
     variant = Variant(variant)
-    return _u0_tables(variant, params, np.array([float(t)]))[0][0]
+    return _u0_tables(variant, params, np.array([float(t)]))[0][..., 0]

@@ -207,18 +207,37 @@ def test_parse_config_rejections():
             (FIDELITY + ["--omega0", "1e400"], "must be finite"),
             (["compare", "--delta-avg", "400", "--omega0", "1", "--omega1", "1",
               "--t-end", "1", "--method", ","], "--method"),
-            (SWEEP + ["--observable", ","], "--observable")):
+            (SWEEP + ["--observable", ","], "--observable"),
+            (["figure", "--id", "2", "--psi0", "0,1,0"], "reads no --psi0")):
         with pytest.raises(UsageError, match=match):
             parse_config(argv)
 
 
-def test_main_exit_codes_for_usage(capsys):
+def test_main_exit_codes_for_usage(capsys, tmp_path):
     assert cli.main(["evolve", "--no-such-flag"]) == EXIT_USAGE
     assert cli.main(["evolve", "--delta-avg", "400", "--omega0", "1",
                      "--omega1", "1", "--t-end", "1",
                      "--method", "magic"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "magic" in err
+    # Output paths that cannot be written; what was there stays untouched.
+    directory = tmp_path / "existing-dir"
+    directory.mkdir()
+    (directory / "keep.txt").write_text("keep\n")
+    existing = tmp_path / "existing-file"
+    existing.write_text("keep\n")
+    evolve = ["evolve", "--delta-avg", "400", "--omega0", "1", "--omega1", "1",
+              "--t-end", "0.01", "--method", "exact-new", "--out"]
+    for argv in (evolve + [str(tmp_path / "missing" / "x.csv")],
+                 evolve + [str(directory)],
+                 ["figure", "--id", "4", "--out", str(existing)]):
+        assert cli.main(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot write ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in directory.iterdir()) == ["keep.txt"]
+    assert (directory / "keep.txt").read_text() == "keep\n"
+    assert existing.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing-dir", "existing-file"]
 
 
 # ----------------------------------------------------------- running

@@ -40,6 +40,13 @@ def test_time_grid_validation():
         TimeGrid(t_end=-1.0, n=10)
     with pytest.raises(ValueError):
         TimeGrid(t_end=1.0, n=7)
+    with pytest.raises(ValueError):
+        TimeGrid(t_end=np.inf, n=4)
+    with pytest.raises(ValueError):
+        TimeGrid(t_end=np.nan, n=4)
+    with pytest.raises(ValueError):
+        TimeGrid(1.0, 4.0)
+    assert TimeGrid(t_end=1.0, n=np.int64(4)).times.shape == (5,)
     g = TimeGrid(t_end=1.0, n=10)
     assert g.dt == 0.1
     assert np.allclose(g.times, np.linspace(0, 1, 11))
@@ -85,8 +92,9 @@ def test_u0_symmetric_is_mean_of_sides():
 
 def test_symmetric_zeroth_order_matches_closed_form():
     # Independent of spectral_m0sq, _u0_tables and sinc_sqrt: M0^2 is the
-    # block-diagonal part of h_new^2, diagonalised by eigh, and the S form
-    # is cos(M0 t) - (i/2)(K H + H K) with K = sin(M0 t)/M0.
+    # block-diagonal part of h_new^2, diagonalised by eigh, and with
+    # K = sin(M0 t)/M0 the zeroth orders are cos(M0 t) - i K H (R),
+    # cos(M0 t) - i H K (L) and cos(M0 t) - (i/2)(K H + H K) (S).
     g = auto_grid(FIG4, CYCLE, refine=2.0)
     h = h_new(FIG4)
     h_sq = h @ h
@@ -99,9 +107,11 @@ def test_symmetric_zeroth_order_matches_closed_form():
     phase = np.outer(g.times, mu)
     cos_t = np.einsum("tm,am,bm->tab", np.cos(phase), v, v.conj())
     kernel = np.einsum("tm,am,bm->tab", np.sin(phase) / mu, v, v.conj())
-    ref = cos_t - 0.5j * (kernel @ h + h @ kernel)
-    tab = iterate("S", FIG4, g, 0)
-    assert np.abs(tab.matrices - ref).max() <= 1e-12
+    refs = {"R": cos_t - 1j * (kernel @ h), "L": cos_t - 1j * (h @ kernel),
+            "S": cos_t - 0.5j * (kernel @ h + h @ kernel)}
+    for variant, ref in refs.items():
+        tab = iterate(variant, FIG4, g, 0)
+        assert np.abs(tab.matrices - ref).max() <= 1e-12, variant
 
 
 # ---------------------------------------------------------------- iterate
