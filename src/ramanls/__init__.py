@@ -4,7 +4,7 @@ Lippmann-Schwinger approximation hierarchy."""
 
 from .model import RamanParams, SplitSquare, SpectralData, h_ae, h_new, \
     split_square, spectral_m0sq
-from .propagators import AEModel, ae_model, m0_effective_unitary, state_table
+from .propagators import ae_model, m0_effective_unitary, state_table
 from .lippmann_schwinger import (PropagatorTable, TimeGrid, Variant,
                                  apply_normalized, auto_grid, iterate,
                                  required_intervals, validate_grid)
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RamanParams", "SplitSquare", "SpectralData", "h_ae", "h_new",
     "split_square", "spectral_m0sq",
-    "AEModel", "ae_model", "m0_effective_unitary", "state_table",
+    "ae_model", "m0_effective_unitary", "state_table",
     "PropagatorTable", "TimeGrid", "Variant", "apply_normalized", "auto_grid",
     "iterate", "required_intervals", "validate_grid",
     "METHODS", "Trace", "amplitude_p", "delta_resonant_ae",

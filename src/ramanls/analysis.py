@@ -34,8 +34,9 @@ class Trace:
 
 
 def rabi_ae(params: RamanParams) -> float:
-    """Effective Rabi frequency of the adiabatic-elimination model."""
-    return ae_model(params).omega_r
+    """Effective Rabi frequency of the adiabatic-elimination model: the gap
+    2r/|Delta| of h_eff = -T/Delta + c I, T the traceless Raman block."""
+    return 2.0 * _raman_block(params)[2] / abs(params.delta_avg)
 
 
 def rabi_exact_delta0(params: RamanParams) -> float:
@@ -134,7 +135,7 @@ def _ode(params, psi0, grid, order, dt_max):
 
 def _ae(params, psi0, grid, order, dt_max):
     psi01 = _require_no_excited(psi0, "ae")
-    return _with_empty_excited(state_table(ae_model(params).h_eff, grid.times, psi01))
+    return _with_empty_excited(state_table(ae_model(params), grid.times, psi01))
 
 
 def _m0eff(params, psi0, grid, order, dt_max):

@@ -189,20 +189,18 @@ def values_from_text(text: str, keys) -> dict[str, str]:
     return out
 
 
-def parse_config(argv, config_text: str | None = None) -> RunConfig:
-    """Parse argv (plus optional config text) into a validated RunConfig."""
+def parse_config(argv) -> RunConfig:
+    """Parse argv (and the ``--config`` file it names) into a validated RunConfig."""
     flags = vars(_build_parser().parse_args(_attach_signed_values(argv)))
     rc = RunConfig(scenario=flags.pop("scenario"))
     keys = SCENARIO_KEYS[rc.scenario]
     cfg: dict[str, str] = {}
-    if config_text is not None:
-        cfg.update(values_from_text(config_text, keys))
     config_file = flags.pop("config")
     if config_file:
         path = Path(config_file)
         if not path.is_file():
             raise UsageError(f"config file not found: {config_file}")
-        cfg.update(values_from_text(path.read_text(), keys))
+        cfg = values_from_text(path.read_text(), keys)
     take = {**cfg, **{k: v for k, v in flags.items() if v is not None}}.get
 
     rc.out = take("out")
@@ -288,13 +286,9 @@ _FIG4_PARAMS = RamanParams(delta_avg=400.0, delta_2ph=-16.0,
                            omega0=200.0 + 0j, omega1=120.0 + 0j)
 
 
-def _fig3_params(omega0: float, omega1: float) -> RamanParams:
-    return RamanParams(delta_avg=400.0, delta_2ph=0.0,
-                       omega0=complex(omega0), omega1=complex(omega1))
-
-
-def _fig3_preset(omega0, omega1):
-    params = _fig3_params(omega0, omega1)
+def _fig3_preset(omega0: float, omega1: float) -> dict:
+    params = RamanParams(delta_avg=400.0, delta_2ph=0.0,
+                         omega0=complex(omega0), omega1=complex(omega1))
     t_end = 2.0 * math.pi / rabi_exact_delta0(params)
     return {"params": params, "t_end": t_end,
             "methods": [("exact-new", 0), ("ae", 0)]}
@@ -331,22 +325,18 @@ def _write_csv(fh, header, columns) -> None:
     fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _grid_for(params: RamanParams, t_end: float, points: int | None,
-              needs_ls: bool) -> TimeGrid:
+def _trace_columns(params: RamanParams, t_end: float, methods, psi0,
+                   points: int | None):
+    """The TRACE_HEADER columns of the methods' traces, one after another,
+    on ``points`` intervals rounded up to even (the mandated grid if None).
+    Only the integral hierarchy (ls-*) raises a coarser grid to it."""
     required = required_intervals(params, t_end)
-    if points is None:
+    n = required if points is None else points + (points % 2)
+    if n < required and any(m.startswith("ls-") for m, _ in methods):
+        print(f"notice: --points {points} too coarse for the integral "
+              f"hierarchy; raised to {required}", file=sys.stderr)
         n = required
-    else:
-        n = points + (points % 2)
-        if needs_ls and n < required:
-            print(f"notice: --points {points} too coarse for the integral "
-                  f"hierarchy; raised to {required}", file=sys.stderr)
-            n = required
-    return TimeGrid(t_end=t_end, n=max(n, 2))
-
-
-def _trace_columns(params: RamanParams, methods, psi0, grid: TimeGrid):
-    """The TRACE_HEADER columns of the methods' traces, one after another."""
+    grid = TimeGrid(t_end=t_end, n=n)
     traces = [trace_populations(name, params, psi0, grid, order=order)
               for name, order in methods]
     times = np.concatenate([tr.times for tr in traces])
@@ -399,10 +389,9 @@ def _tables(config: RunConfig):
                 yield path, FIDELITY_HEADER, _fidelity_columns(*preset["fidelity"],
                                                                config.points)
             else:
-                grid = _grid_for(preset["params"], preset["t_end"], config.points,
-                                 needs_ls=True)
                 yield path, TRACE_HEADER, _trace_columns(
-                    preset["params"], preset["methods"], config.psi0, grid)
+                    preset["params"], preset["t_end"], preset["methods"],
+                    config.psi0, config.points)
     elif config.scenario == "sweep":
         yield (Path(config.out or "sweep.csv"), (config.sweep_axis, *config.observables),
                _sweep_columns(config))
@@ -415,10 +404,8 @@ def _tables(config: RunConfig):
             p.delta_avg, abs(p.omega1), [abs(p.omega0) / abs(p.omega1)],
             config.omega_r_t_max, config.points)
     else:
-        needs_ls = any(m.startswith("ls-") for m, _ in config.methods)
-        grid = _grid_for(config.params, config.t_end, config.points, needs_ls)
         yield Path(config.out or "trace.csv"), TRACE_HEADER, _trace_columns(
-            config.params, config.methods, config.psi0, grid)
+            config.params, config.t_end, config.methods, config.psi0, config.points)
 
 
 def run(config: RunConfig) -> list[Path]:
@@ -446,7 +433,7 @@ def run(config: RunConfig) -> list[Path]:
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv, None)
+        config = parse_config(argv)
         try:
             run(config)
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

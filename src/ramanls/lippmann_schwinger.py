@@ -27,14 +27,20 @@ and C_m(t) = cos(mu_m t), angle addition gives
     K(t_i - t_j) = V diag(S_m(t_i) C_m(t_j) - C_m(t_i) S_m(t_j)) V^H,
 
 so in the eigenbasis every convolution on node i is a prefix quadrature
-over j of C_m(t_j) h_j and S_m(t_j) h_j, with h = V^H eps U in the R
-form and U eps V in the L form.  The Simpson prefix on nodes
-0..2k is (dt/3)(2 sum_even + 4 sum_odd - b_0 - b_2k), with running sums
-taken separately over even and odd nodes; odd nodes add the 3/8 segment
-on nodes i-3..i.  In the L form the substitution t' -> t - t' mirrors
-the node weights, which moves the 3/8 segment to nodes 0..3 and runs
-Simpson over 3..i.  One Born order on n nodes thus costs O(n) time and
-memory, order k O(k n) time, and no weight matrix is ever stored.
+over j of C_m(t_j) h_j and S_m(t_j) h_j, with h = V^H eps U.  The
+Simpson prefix on nodes 0..2k is (dt/3)(2 sum_even + 4 sum_odd - b_0 -
+b_2k), with running sums taken separately over even and odd nodes; odd
+nodes add the 3/8 segment on nodes i-3..i.  One Born order on n nodes
+thus costs O(n) time and memory, order k O(k n) time, and no weight
+matrix is ever stored.
+
+The L form is the R form transposed: with t' -> t - t' and K^T = conj(K)
+= conj(V) diag(S_m) V^T (K is Hermitian),
+
+    (int_0^t U(t') eps K(t-t') dt')^T = int_0^t K^T(t-t') eps^T U^T(t') dt',
+
+the R integral of U^T with eps^T and the basis conj(V), taken with node
+weights mirrored by the substitution: 3/8 on nodes 0..3, Simpson on 3..i.
 """
 
 from __future__ import annotations
@@ -144,7 +150,7 @@ def _u0_tables(variant: Variant, params: RamanParams, times: np.ndarray
 # returned PropagatorTable is transposed to one 3x3 matrix per node.
 # np.matmul on an (n+1, 3, 3) stack multiplies the 3x3 blocks one at a
 # time, and a BLAS product over the flattened table may start threads;
-# _u0_tables, _left and _right avoid both.
+# _u0_tables and _left avoid both.
 
 
 def _simpson_prefix(b: np.ndarray, dt: float, out: np.ndarray) -> None:
@@ -204,36 +210,32 @@ def _left(a: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _right(table: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """table @ a on every node of a (3, 3, n+1) table."""
-    out = table[:, 0, None] * a[0, :, None]
-    out += table[:, 1, None] * a[1, :, None]
-    out += table[:, 2, None] * a[2, :, None]
-    return out
-
-
 def _born_integral(table: np.ndarray, eps: np.ndarray, dt: float,
                    cos_t: np.ndarray, sinc_t: np.ndarray,
-                   basis: np.ndarray, *, right: bool) -> np.ndarray:
-    """Convolution term of one Born order on every node.
+                   basis: np.ndarray, mirrored: bool = False) -> np.ndarray:
+    """R-form convolution int_0^t K(t-t') eps U(t') dt' on every node.
 
-    R form: int_0^t K(t-t') eps U(t') dt'.  With ``right``, the L form
-    int_0^t U(t-t') eps K(t') dt' = int_0^t U(t') eps K(t-t') dt', taken
-    with mirrored node weights.  In the eigenbasis V of M0^2 the kernel is
-    diagonal, K = V diag(S_m) V^H, so with h = V^H eps U (or U eps V)
-    row (column) m of the result is S_m(t) Q[C_m h] - C_m(t) Q[S_m h].
-    ``cos_t`` and ``sinc_t`` hold C_m and S_m as (3, n+1) rows.
+    In the eigenbasis V of M0^2 the kernel is diagonal, K = V diag(S_m) V^H,
+    so with h = V^H eps U row m of V^H times the result is
+    S_m(t) Q[C_m h] - C_m(t) Q[S_m h].  ``cos_t`` and ``sinc_t`` hold C_m
+    and S_m as (3, n+1) rows; ``mirrored`` takes the L form's node weights.
     """
-    vh = basis.conj().T
-    if right:
-        h = _right(table, eps @ basis)
-        c, s = cos_t[None], sinc_t[None]
-    else:
-        h = _left(vh @ eps, table)
-        c, s = cos_t[:, None], sinc_t[:, None]
-    x = s * _prefix_integrals(c * h, dt, right)
-    x -= c * _prefix_integrals(s * h, dt, right)
-    return _right(x, vh) if right else _left(basis, x)
+    h = _left(basis.conj().T @ eps, table)
+    c, s = cos_t[:, None], sinc_t[:, None]
+    x = s * _prefix_integrals(c * h, dt, mirrored)
+    x -= c * _prefix_integrals(s * h, dt, mirrored)
+    return _left(basis, x)
+
+
+def _l_form(table, eps, dt, cos_t, sinc_t, basis) -> np.ndarray:
+    """L-form convolution, as the transposed R form of U^T (module docstring)."""
+    return _born_integral(table.transpose(1, 0, 2), eps.T, dt, cos_t, sinc_t,
+                          basis.conj(), mirrored=True).transpose(1, 0, 2)
+
+
+#: The Born corrections each variant averages.
+_SIDES = {Variant.R: (_born_integral,), Variant.L: (_l_form,),
+          Variant.S: (_born_integral, _l_form)}
 
 
 def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
@@ -261,15 +263,8 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
                 cos_rows, sinc_rows, _mode_basis(proj))
     table = u0
     for _ in range(order):
-        if variant is Variant.R:
-            corr = _born_integral(table, *step, right=False)
-        elif variant is Variant.L:
-            corr = _born_integral(table, *step, right=True)
-        else:
-            corr = _born_integral(table, *step, right=False)
-            corr += _born_integral(table, *step, right=True)
-            corr *= 0.5
-        table = u0 - corr
+        corrs = [side(table, *step) for side in _SIDES[variant]]
+        table = u0 - sum(corrs[1:], corrs[0]) / len(corrs)
     return PropagatorTable(grid=grid, variant=variant, order=order,
                            matrices=np.ascontiguousarray(table.transpose(2, 0, 1)))
 

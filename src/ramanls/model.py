@@ -116,16 +116,9 @@ def h_ae(params: RamanParams) -> np.ndarray:
 
 def h_new(params: RamanParams) -> np.ndarray:
     """Shifted-picture Hamiltonian; equals h_ae minus (delta_avg/2) I."""
-    d, dd = params.delta_avg, params.delta_2ph
-    o0, o1 = params.omega0, params.omega1
-    return 0.5 * np.array(
-        [
-            [-d - dd, 0.0, o0],
-            [0.0, -d + dd, o1],
-            [np.conj(o0), np.conj(o1), d],
-        ],
-        dtype=complex,
-    )
+    # np.diag, not a scaled np.eye: a negative delta_avg would put -0.0 off
+    # the diagonal and flip the sign of zero entries.
+    return h_ae(params) - np.diag(np.full(3, 0.5 * params.delta_avg))
 
 
 def split_square(params: RamanParams, *, eps_scale: float = 1.0) -> SplitSquare:

@@ -65,12 +65,16 @@ def sinc_sqrt(lam, t):
 
     The series branch kicks in for |lam| t^2 < 1e-8, where the direct
     quotient would lose accuracy; it keeps the t -> 0 and lam -> 0 limits
-    exact without ever choosing a square-root sign.
+    exact without ever choosing a square-root sign.  Outside it, lam < 0
+    raises ValueError.
     """
     lam = np.asarray(lam, dtype=float)
     t = np.asarray(t, dtype=float)
     x = lam * t * t
     small = np.abs(x) < 1e-8
+    if np.any((lam < 0) & ~small):  # then the most negative lam is outside too
+        raise ValueError(f"sinc_sqrt needs lam >= 0 where |lam| t^2 >= 1e-8; "
+                         f"got lam = {lam.min():g}")
     root = np.sqrt(np.maximum(lam, 0.0))
     direct = np.sin(root * t) / np.where(small, 1.0, root)
     series = t * (1.0 - x / 6.0 + x * x / 120.0)

@@ -1,10 +1,12 @@
 """Propagators for the driven three-level system.
 
 Exact state evolution by eigendecomposition, the fixed-step RK4 kernel
-behind the ``ode`` method, the adiabatic-elimination two-level model, the
-cos/sinc mode factors of the squared Hamiltonian's block-diagonal part
-(shared by the zero-detuning solution and the integral hierarchy), and
-the effective two-level propagator built from that block.
+behind the ``ode`` method, the adiabatic-elimination effective
+Hamiltonian (``ae_model`` returns the 2x2 h_eff itself; its Rabi
+frequency is ``analysis.rabi_ae``), the cos/sinc mode factors of the
+squared Hamiltonian's block-diagonal part (shared by the zero-detuning
+solution and the integral hierarchy), and the effective two-level
+propagator built from that block.
 
 The RK4 kernel takes a state or a matrix: ``h @ x`` is the same product
 for both.  Every sin(M t)/M factor is evaluated as the even scalar
@@ -15,24 +17,11 @@ square-root sign ever has to be chosen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RamanParams, SpectralData, _raman_block, spectral_m0sq
+from .model import RamanParams, SpectralData, spectral_m0sq
 from .numerics import eig_h3, sinc_sqrt
-
-
-@dataclass(frozen=True, eq=False)
-class AEModel:
-    """Adiabatic-elimination reduction to the two relevant levels.
-
-    ``h_eff`` is the effective 2x2 Hamiltonian and ``omega_r`` >= 0, the
-    gap between its two eigenvalues, the effective Rabi frequency.
-    """
-
-    h_eff: np.ndarray
-    omega_r: float
 
 
 def state_table(h: np.ndarray, times: np.ndarray, psi0: np.ndarray) -> np.ndarray:
@@ -68,21 +57,19 @@ def rk4(h: np.ndarray, x: np.ndarray, dt: float, steps: int) -> np.ndarray:
     return x
 
 
-def ae_model(params: RamanParams) -> AEModel:
-    """Effective 2x2 model after adiabatic elimination of the excited level."""
+def ae_model(params: RamanParams) -> np.ndarray:
+    """Effective 2x2 Hamiltonian after adiabatic elimination of the excited level."""
     d = params.delta_avg
     dd = params.delta_2ph
     o0, o1 = params.omega0, params.omega1
     cross = o0 * np.conj(o1) / (2.0 * d)
-    h_eff = -0.5 * np.array(
+    return -0.5 * np.array(
         [
             [dd + abs(o0) ** 2 / (2.0 * d), cross],
             [np.conj(cross), -dd + abs(o1) ** 2 / (2.0 * d)],
         ],
         dtype=complex,
     )
-    # h_eff is -T/d plus a multiple of I, T the traceless Raman block.
-    return AEModel(h_eff=h_eff, omega_r=2.0 * _raman_block(params)[2] / abs(d))
 
 
 def mode_factors(sd: SpectralData, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
+from ramanls.analysis import rabi_ae
 from ramanls.model import RamanParams, h_new, spectral_m0sq
 from ramanls.numerics import eig_h3
-from ramanls.propagators import ae_model, mode_factors, rk4, rk4_steps
+from ramanls.propagators import mode_factors, rk4, rk4_steps
 
 
 def exact_unitary(h: np.ndarray, t: float) -> np.ndarray:
@@ -43,12 +44,12 @@ def ae_population_1(params: RamanParams, t: float) -> float:
     Returns the omega_r -> 0 limit (no oscillation, zero transfer) in the
     degenerate case.
     """
-    model = ae_model(params)
-    if model.omega_r == 0.0:
+    omega_r = rabi_ae(params)
+    if omega_r == 0.0:
         return 0.0
     amp = (abs(params.omega0) * abs(params.omega1))**2 / (
-        8.0 * params.delta_avg**2 * model.omega_r**2)
-    return amp * (1.0 - math.cos(model.omega_r * t))
+        8.0 * params.delta_avg**2 * omega_r**2)
+    return amp * (1.0 - math.cos(omega_r * t))
 
 
 def exact_delta0(params: RamanParams, t: float) -> np.ndarray:

@@ -16,6 +16,13 @@ SWEEP = ["sweep", "--delta-avg", "400", "--omega0", "200", "--omega1", "120",
          "--axis", "delta", "--from", "-1", "--to", "1", "--points", "3"]
 
 
+def config_file(tmp_path, text):
+    """Write ``text`` to a config file under tmp_path; returns its path."""
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
 def read_lines(path):
     text = path.read_text()
     assert "\r" not in text
@@ -95,25 +102,26 @@ def test_parse_config_file_and_flag_precedence(tmp_path):
     assert rc.t_end == 2.0
 
 
-def test_parse_config_from_text():
+def test_parse_config_from_text(tmp_path):
     rc = parse_config(
-        ["evolve", "--method", "exact-new"],
-        config_text="delta-avg = 400\ndelta = 0  # resonant\n"
-                    "omega0 = 40+0i\nomega1 = 40\nt-end = 0.5\n",
+        ["evolve", "--method", "exact-new", "--config", config_file(
+            tmp_path, "delta-avg = 400\ndelta = 0  # resonant\n"
+                      "omega0 = 40+0i\nomega1 = 40\nt-end = 0.5\n")],
     )
     assert rc.params == RamanParams(400.0, 0.0, 40.0 + 0j, 40.0 + 0j)
     assert rc.t_end == 0.5
 
 
-def test_config_text_rejections():
+def test_config_text_rejections(tmp_path):
+    evolve = ["evolve", "--method", "ae", "--config"]
     with pytest.raises(UsageError, match="unknown config key"):
-        parse_config(["evolve", "--method", "ae"], config_text="bogus = 1\n")
+        parse_config(evolve + [config_file(tmp_path, "bogus = 1\n")])
     with pytest.raises(UsageError, match="key = value"):
-        parse_config(["evolve", "--method", "ae"], config_text="just words\n")
+        parse_config(evolve + [config_file(tmp_path, "just words\n")])
     with pytest.raises(UsageError, match="not found"):
         parse_config(["evolve", "--method", "ae", "--config", "/no/such/file"])
     with pytest.raises(UsageError, match="unknown config key 'id'"):
-        parse_config(["evolve", "--method", "ae"], config_text="id = 4\n")
+        parse_config(evolve + [config_file(tmp_path, "id = 4\n")])
 
 
 TRACE_KEYS = {"delta-avg", "delta", "omega0", "omega1", "t-end", "dt-end",
@@ -129,7 +137,7 @@ SCENARIO_KEYS = {
 }
 
 
-def test_every_flag_is_a_config_key():
+def test_every_flag_is_a_config_key(tmp_path):
     parser = cli._build_parser()
     subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
@@ -141,7 +149,8 @@ def test_every_flag_is_a_config_key():
         assert set(keys) == SCENARIO_KEYS[scenario] | {"config"}, scenario
         for key in keys:
             try:
-                parse_config([scenario], config_text=f"{key} = 1\n")
+                parse_config([scenario, "--config",
+                              config_file(tmp_path, f"{key} = 1\n")])
             except UsageError as exc:
                 assert ("unknown config key" in str(exc)) == (key == "config"), (scenario, key)
             else:
@@ -164,7 +173,8 @@ def test_keys_a_scenario_does_not_read_are_rejected(tmp_path):
             assert cli.main(argv + [f"--{key}", value]) == EXIT_USAGE, (scenario, key)
             assert not out.exists()
             with pytest.raises(UsageError, match=f"unknown config key '{key}'"):
-                parse_config(argv, config_text=f"{key} = {value}\n")
+                parse_config(argv + ["--config",
+                                     config_file(tmp_path, f"{key} = {value}\n")])
 
 
 def test_parse_config_rejections():
@@ -316,6 +326,20 @@ def test_points_autocorrected_for_ls(tmp_path, capsys):
     params = RamanParams(400.0, -16.0, 200.0, 120.0)
     needed = required_intervals(params, 45.0 / 400.0)
     assert len(read_lines(out)) == needed + 2
+
+
+def test_figure_points_raised_only_for_ls_presets(tmp_path, capsys):
+    # Presets 3a-3c run exact-new and ae only: --points is taken as given.
+    assert cli.main(["figure", "--id", "3", "--points", "10",
+                     "--out", str(tmp_path)]) == EXIT_OK
+    assert "raised to" not in capsys.readouterr().err
+    for fid in ("3a", "3b", "3c"):
+        assert len(read_lines(tmp_path / f"fig{fid}.csv")) == 1 + 2 * 11
+    assert cli.main(["figure", "--id", "4a", "--points", "10",
+                     "--out", str(tmp_path)]) == EXIT_OK
+    assert "raised to" in capsys.readouterr().err
+    needed = required_intervals(cli.PRESETS["4a"]["params"], cli.PRESETS["4a"]["t_end"])
+    assert len(read_lines(tmp_path / "fig4a.csv")) == 1 + 4 * (needed + 1)
 
 
 def test_sweep_rows_match_library(tmp_path):

@@ -105,3 +105,13 @@ def test_sinc_sqrt_limits():
     t = 0.1
     direct = np.sin(np.sqrt(lam) * t) / np.sqrt(lam)
     assert sinc_sqrt(lam * 1.0000001, t) == pytest.approx(direct, rel=1e-10)
+
+
+def test_sinc_sqrt_rejects_negative_lam_outside_series_range():
+    with pytest.raises(ValueError, match="lam = -4"):
+        sinc_sqrt(-4.0, 1.0)
+    with pytest.raises(ValueError, match="lam = -4"):
+        sinc_sqrt(np.array([[1.0], [-4.0]]), np.linspace(0.0, 1.0, 5))
+    # inside the series range |lam| t^2 < 1e-8 the series value stands
+    assert sinc_sqrt(-1e-10, 1.0) == pytest.approx(1.0 + 1e-10 / 6.0, rel=1e-15)
+    assert sinc_sqrt(-4.0, 0.0) == 0.0
