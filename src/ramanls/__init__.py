@@ -9,8 +9,8 @@ from .lippmann_schwinger import (PropagatorTable, TimeGrid, Variant,
                                  apply_normalized, auto_grid, iterate,
                                  required_intervals, validate_grid)
 from .analysis import (METHODS, Trace, amplitude_p, delta_resonant_ae,
-                       delta_resonant_lightshift, fidelity, rabi_ae,
-                       rabi_exact_delta0, rabi_general, trace_populations)
+                       delta_resonant_lightshift, rabi_ae, rabi_exact_delta0,
+                       rabi_general, trace_populations)
 
 __version__ = "0.1.0"
 
@@ -21,6 +21,6 @@ __all__ = [
     "PropagatorTable", "TimeGrid", "Variant", "apply_normalized", "auto_grid",
     "iterate", "required_intervals", "validate_grid",
     "METHODS", "Trace", "amplitude_p", "delta_resonant_ae",
-    "delta_resonant_lightshift", "fidelity", "rabi_ae", "rabi_exact_delta0",
+    "delta_resonant_lightshift", "rabi_ae", "rabi_exact_delta0",
     "rabi_general", "trace_populations",
 ]

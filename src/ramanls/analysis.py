@@ -2,10 +2,10 @@
 
 Effective Rabi frequencies from the three treatments, the two resonance
 detunings plus the self-consistent light-shift solution, the transfer
-amplitude, state fidelity, and a uniform population-trace record for
-every propagation method the package offers.  The Rabi frequencies and
-the amplitude read the closed-form Raman block, so they stay accurate to
-a few ulps at weak drive, where adiabatic elimination is reliable.
+amplitude, and a uniform population-trace record for every propagation
+method the package offers.  The Rabi frequencies and the amplitude read
+the closed-form Raman block, so they stay accurate to a few ulps at weak
+drive, where adiabatic elimination is reliable.
 """
 
 from __future__ import annotations
@@ -95,16 +95,6 @@ def amplitude_p(params: RamanParams) -> float:
     if r == 0:
         raise ValueError("amplitude undefined: degenerate Raman block")
     return (abs(b) / r) ** 2
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Overlap magnitude |a^dagger b| of two unit-norm states."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    for name, v in (("a", a), ("b", b)):
-        if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # false for NaN too
-            raise ValueError(f"fidelity argument {name} is not unit norm")
-    return float(abs(np.vdot(a, b)))
 
 
 def _require_no_excited(psi0: np.ndarray, method: str) -> np.ndarray:

@@ -101,10 +101,13 @@ def _parse_psi0(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise UsageError(f"--psi0 needs three comma-separated components: {text!r}")
     vec = np.array([parse_complex_literal(p) for p in parts])
-    norm = np.linalg.norm(vec)
-    if not 0 < norm < math.inf:
+    # Scaled to its largest real or imaginary part first, so that the norm
+    # of a tiny or huge vector neither underflows nor overflows.
+    scale = np.abs(np.concatenate([vec.real, vec.imag])).max()
+    if not 0 < scale < math.inf:
         raise UsageError(f"--psi0 must be nonzero and finite: {text!r}")
-    return vec / norm
+    vec = vec / scale
+    return vec / np.linalg.norm(vec)
 
 
 @dataclass

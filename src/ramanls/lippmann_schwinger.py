@@ -52,7 +52,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import RamanParams, h_new, spectral_m0sq, split_square
+from .model import RamanParams, SpectralData, h_new, spectral_m0sq, split_square
 from .propagators import mode_factors
 
 #: Largest allowed phase advance of the fastest mode per grid step.
@@ -105,14 +105,16 @@ def auto_grid(params: RamanParams, t_end: float, *, refine: float = 1.0) -> Time
     return TimeGrid(t_end=t_end, n=n)
 
 
-def validate_grid(grid: TimeGrid, params: RamanParams) -> None:
-    """Reject grids too coarse for the oscillatory convolution integrals."""
-    mu_max = spectral_m0sq(params).mu_max
-    if grid.dt * mu_max > GRID_PHASE_LIMIT * (1.0 + 1e-9):
+def validate_grid(grid: TimeGrid, params: RamanParams) -> SpectralData:
+    """Reject grids too coarse for the oscillatory convolution integrals;
+    returns the spectral decomposition of M0^2 the check solved."""
+    sd = spectral_m0sq(params)
+    if grid.dt * sd.mu_max > GRID_PHASE_LIMIT * (1.0 + 1e-9):
         raise ValueError(
-            f"grid too coarse: dt*mu_max = {grid.dt * mu_max:.4f} exceeds "
+            f"grid too coarse: dt*mu_max = {grid.dt * sd.mu_max:.4f} exceeds "
             f"pi/20; need n >= {required_intervals(params, grid.t_end)}"
         )
+    return sd
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,24 +127,18 @@ class PropagatorTable:
     matrices: np.ndarray  # shape (n+1, 3, 3)
 
 
-def _u0_tables(variant: Variant, params: RamanParams, times: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Zeroth-order table and the kernel's spectral pieces on the grid.
+def _u0_table(variant: Variant, proj: np.ndarray, h: np.ndarray,
+              cos_rows: np.ndarray, sinc_rows: np.ndarray) -> np.ndarray:
+    """Zeroth-order table U0(t) = sum_m C_m(t) P_m - i S_m(t) B_m.
 
-    U0(t) = sum_m C_m(t) P_m - i S_m(t) B_m with B_m = P_m H (R), H P_m (L)
-    or (P_m H + H P_m)/2 (S, M), one contraction of the mode rows.  Returns
-    ``(u0, cos_rows, sinc_rows, proj)``: the (3, 3, n+1) table, C_m(t) and
-    S_m(t) as (3, n+1) rows, and the (3, 3, 3) projectors P_m.
+    B_m = P_m H (R), H P_m (L) or (P_m H + H P_m)/2 (S), one contraction
+    of the mode rows C_m(t) and S_m(t), given as (3, n+1) arrays, with the
+    (3, 3, 3) projectors P_m.  Returns the (3, 3, n+1) table.
     """
-    sd = spectral_m0sq(params)
-    proj = np.stack(sd.projectors)
-    cos_rows, sinc_rows = mode_factors(sd, times)
-    h = h_new(params)
-    ph, hp = proj @ h, h @ proj  # B for R and L; S and M take their mean
+    ph, hp = proj @ h, h @ proj
     b = {Variant.R: ph, Variant.L: hp}.get(variant, 0.5 * (ph + hp))
-    u0 = np.einsum("mab,mt->abt", np.concatenate([proj, -1j * b]),
-                   np.concatenate([cos_rows, sinc_rows]))
-    return u0, cos_rows, sinc_rows, proj
+    return np.einsum("mab,mt->abt", np.concatenate([proj, -1j * b]),
+                     np.concatenate([cos_rows, sinc_rows]))
 
 
 # Every table, U0 included, is a (3, 3, n+1) array, time on the last
@@ -150,7 +146,7 @@ def _u0_tables(variant: Variant, params: RamanParams, times: np.ndarray
 # returned PropagatorTable is transposed to one 3x3 matrix per node.
 # np.matmul on an (n+1, 3, 3) stack multiplies the 3x3 blocks one at a
 # time, and a BLAS product over the flattened table may start threads;
-# _u0_tables and _left avoid both.
+# _u0_table and _left avoid both.
 
 
 def _simpson_prefix(b: np.ndarray, dt: float, out: np.ndarray) -> None:
@@ -248,23 +244,24 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
     variant = Variant(variant)
     if order < 0:
         raise ValueError("order must be >= 0")
-    validate_grid(grid, params)
-
-    if variant is Variant.M:
-        right = iterate(Variant.R, params, grid, order, eps_scale=eps_scale)
-        left = iterate(Variant.L, params, grid, order, eps_scale=eps_scale)
-        mats = 0.5 * (right.matrices + left.matrices)
-        return PropagatorTable(grid=grid, variant=variant, order=order,
-                               matrices=mats)
-
-    u0, cos_rows, sinc_rows, proj = _u0_tables(variant, params, grid.times)
+    sd = validate_grid(grid, params)
+    proj = np.stack(sd.projectors)
+    modes = mode_factors(sd, grid.times)
+    h = h_new(params)
     if order:
         step = (split_square(params, eps_scale=eps_scale).eps, grid.dt,
-                cos_rows, sinc_rows, _mode_basis(proj))
-    table = u0
-    for _ in range(order):
-        corrs = [side(table, *step) for side in _SIDES[variant]]
-        table = u0 - sum(corrs[1:], corrs[0]) / len(corrs)
+                *modes, _mode_basis(proj))
+
+    # M is the mean of the R and L tables, both built on the one solve sd.
+    tables = []
+    for side in (Variant.R, Variant.L) if variant is Variant.M else (variant,):
+        u0 = _u0_table(side, proj, h, *modes)
+        table = u0
+        for _ in range(order):
+            corrs = [born(table, *step) for born in _SIDES[side]]
+            table = u0 - sum(corrs[1:], corrs[0]) / len(corrs)
+        tables.append(table)
+    table = tables[0] if len(tables) == 1 else 0.5 * (tables[0] + tables[1])
     return PropagatorTable(grid=grid, variant=variant, order=order,
                            matrices=np.ascontiguousarray(table.transpose(2, 0, 1)))
 

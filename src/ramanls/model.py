@@ -7,7 +7,8 @@ elimination (``h_ae``) and the shifted one whose Hamiltonian squares into
 a block-diagonal part plus a small off-diagonal remainder (``h_new``).
 The upper 2x2 (Raman) block of that part is solved once, in closed form,
 by ``_raman_block``: every eigenvalue, projector, Rabi frequency and
-amplitude of the package reads it, and none cancels at weak drive.
+amplitude of the package, and the AE effective Hamiltonian, read it, and
+none cancels at weak drive.
 """
 
 from __future__ import annotations
@@ -147,15 +148,25 @@ def _raman_block(params: RamanParams):
     Returns ``(a, b, r, mu_plus_sq, mu_minus_sq)`` with r = hypot(a, |b|),
     half the eigenvalue gap.  mu_plus_sq = c + r sums positive terms, and
     mu_minus_sq = det/mu_plus_sq with det a sum of squares, so neither
-    cancels at weak drive and mu_minus_sq is never negative.
+    cancels at weak drive and mu_minus_sq is never negative.  det grows
+    as delta_avg^4: parameters whose squares or det leave double range
+    raise ValueError.
     """
     d, dd = params.delta_avg, params.delta_2ph
-    a = 0.5 * dd * d + 0.125 * params.omega_imbalance
-    b = 0.25 * params.omega0 * np.conj(params.omega1)
-    r = math.hypot(a, abs(b))
-    mu_plus_sq = 0.25 * (d * d + dd * dd) + 0.125 * params.omega_sq + r
-    det = (((d - dd) * (d + dd)) ** 2 + (d + dd) ** 2 * abs(params.omega1) ** 2
-           + (d - dd) ** 2 * abs(params.omega0) ** 2)
+    try:
+        a = 0.5 * dd * d + 0.125 * params.omega_imbalance
+        b = 0.25 * params.omega0 * np.conj(params.omega1)
+        r = math.hypot(a, abs(b))
+        mu_plus_sq = 0.25 * (d * d + dd * dd) + 0.125 * params.omega_sq + r
+        det = (((d - dd) * (d + dd)) ** 2 + (d + dd) ** 2 * abs(params.omega1) ** 2
+               + (d - dd) ** 2 * abs(params.omega0) ** 2)
+        if not math.isfinite(mu_plus_sq + det):  # |a|, |b| <= r <= mu_plus_sq
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(
+            f"parameters overflow double precision: delta_avg = {d:g}, "
+            f"delta = {dd:g}, |omega0| = {abs(params.omega0):g}, "
+            f"|omega1| = {abs(params.omega1):g}") from None
     return a, b, r, mu_plus_sq, det / (16.0 * mu_plus_sq)
 
 

@@ -1,63 +1,22 @@
-"""Small dense complex linear algebra.
+"""The two numerical primitives under the propagators.
 
-Everything in here operates on plain numpy arrays: 2x2 and 3x3 complex
-matrices are the only sizes that ever occur.  All functions are pure; no
-shared state.
+``eig_h3`` diagonalises the 2x2 and 3x3 Hamiltonians and checks nothing:
+``h_ae``, ``h_new`` and ``ae_model`` are exactly Hermitian by
+construction, which a property test pins.  ``sinc_sqrt`` evaluates
+sin(M t)/M as an even function of M^2.  Both are pure functions of
+plain numpy arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-HERMITICITY_RTOL = 1e-12
 
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entry magnitude of A - A^dagger."""
-    a = np.asarray(a, dtype=complex)
-    return float(np.abs(a - a.conj().T).max())
-
-
-def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity and return the symmetrized copy (A + A^dagger)/2.
-
-    Raises ValueError naming the max asymmetry if the defect exceeds
-    ``HERMITICITY_RTOL`` relative to the largest entry magnitude.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    defect = hermiticity_defect(a)
-    scale = float(np.abs(a).max())
-    if defect > HERMITICITY_RTOL * max(scale, 1.0):
-        raise ValueError(
-            f"{name} is not Hermitian: max asymmetry {defect:.3e} "
-            f"exceeds {HERMITICITY_RTOL:g} of scale {scale:.3e}"
-        )
-    return 0.5 * (a + a.conj().T)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenH3:
-    """Eigendecomposition of a Hermitian 3x3 or 2x2 matrix.
-
-    ``eigenvalues`` ascend; the columns of ``eigenvectors`` are the
-    corresponding orthonormal eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_h3(a: np.ndarray) -> EigenH3:
-    """Hermitian 3x3 or 2x2 eigendecomposition (validated input, ascending order)."""
-    h = require_hermitian(a, name="eig_h3 input")
-    lam, vec = np.linalg.eigh(h)
-    return EigenH3(eigenvalues=lam, eigenvectors=vec)
+def eig_h3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
+    Hermitian 3x3 or 2x2 matrix; only its lower triangle is read."""
+    lam, vec = np.linalg.eigh(a)
+    return lam, vec
 
 
 def sinc_sqrt(lam, t):

@@ -2,11 +2,11 @@
 
 Exact state evolution by eigendecomposition, the fixed-step RK4 kernel
 behind the ``ode`` method, the adiabatic-elimination effective
-Hamiltonian (``ae_model`` returns the 2x2 h_eff itself; its Rabi
-frequency is ``analysis.rabi_ae``), the cos/sinc mode factors of the
-squared Hamiltonian's block-diagonal part (shared by the zero-detuning
-solution and the integral hierarchy), and the effective two-level
-propagator built from that block.
+Hamiltonian (``ae_model`` returns the 2x2 h_eff, read off the Raman
+block; its Rabi frequency is ``analysis.rabi_ae``), the cos/sinc mode
+factors of the squared Hamiltonian's block-diagonal part (shared by the
+zero-detuning solution and the integral hierarchy), and the effective
+two-level propagator built from that block.
 
 The RK4 kernel takes a state or a matrix: ``h @ x`` is the same product
 for both.  Every sin(M t)/M factor is evaluated as the even scalar
@@ -20,16 +20,15 @@ import math
 
 import numpy as np
 
-from .model import RamanParams, SpectralData, spectral_m0sq
+from .model import RamanParams, SpectralData, _raman_block, spectral_m0sq
 from .numerics import eig_h3, sinc_sqrt
 
 
 def state_table(h: np.ndarray, times: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """States exp(-i h t) psi0 at every requested time, one eigensolve."""
-    spec = eig_h3(h)
-    v = spec.eigenvectors
+    lam, v = eig_h3(h)
     coeff = v.conj().T @ np.asarray(psi0, dtype=complex)
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), spec.eigenvalues))
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), lam))
     return (phases * coeff) @ v.T
 
 
@@ -58,18 +57,13 @@ def rk4(h: np.ndarray, x: np.ndarray, dt: float, steps: int) -> np.ndarray:
 
 
 def ae_model(params: RamanParams) -> np.ndarray:
-    """Effective 2x2 Hamiltonian after adiabatic elimination of the excited level."""
+    """Effective 2x2 Hamiltonian after adiabatic elimination of the excited
+    level: h_eff = -T/Delta - (|Omega0|^2 + |Omega1|^2)/(8 Delta) I, with
+    T = [[a, b], [b*, -a]] the traceless Raman block."""
+    a, b, *_ = _raman_block(params)
     d = params.delta_avg
-    dd = params.delta_2ph
-    o0, o1 = params.omega0, params.omega1
-    cross = o0 * np.conj(o1) / (2.0 * d)
-    return -0.5 * np.array(
-        [
-            [dd + abs(o0) ** 2 / (2.0 * d), cross],
-            [np.conj(cross), -dd + abs(o1) ** 2 / (2.0 * d)],
-        ],
-        dtype=complex,
-    )
+    t = np.array([[a, b], [np.conj(b), -a]], dtype=complex)
+    return -t / d - np.diag(np.full(2, params.omega_sq / (8.0 * d)))
 
 
 def mode_factors(sd: SpectralData, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

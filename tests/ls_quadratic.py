@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ramanls.lippmann_schwinger import (PropagatorTable, TimeGrid, Variant,
-                                        _u0_tables, validate_grid)
+                                        _u0_table, validate_grid)
 from ramanls.model import RamanParams, h_new, spectral_m0sq, split_square
 from ramanls.propagators import mode_factors
 
@@ -113,5 +113,6 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
 
 def u0(variant: Variant | str, params: RamanParams, t: float) -> np.ndarray:
     """Zeroth-order propagator of the chosen variant at a single time."""
-    variant = Variant(variant)
-    return _u0_tables(variant, params, np.array([float(t)]))[0][..., 0]
+    sd = spectral_m0sq(params)
+    return _u0_table(Variant(variant), np.stack(sd.projectors), h_new(params),
+                     *mode_factors(sd, np.array([float(t)])))[..., 0]

@@ -1,10 +1,11 @@
 """Reference propagators and closed-form populations for the tests.
 
 The exact 3x3 propagator by eigendecomposition, an RK4 integration of the
-propagator from the identity, the adiabatic-elimination closed-form
-population, and the zero-detuning propagator and excited population in
-closed form.  No package path calls them; they are kept only as the
-references the package's methods are checked against.
+propagator from the identity, the adiabatic-elimination effective
+Hamiltonian entry by entry and its closed-form population, and the
+zero-detuning propagator and excited population in closed form.  No
+package path calls them; they are kept only as the references the
+package's methods are checked against.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from ramanls.propagators import mode_factors, rk4, rk4_steps
 
 def exact_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """Evolution operator exp(-i h t) of a Hermitian 3x3 Hamiltonian."""
-    spec = eig_h3(h)
-    phases = np.exp(-1j * spec.eigenvalues * t)
-    v = spec.eigenvectors
+    lam, v = eig_h3(h)
+    phases = np.exp(-1j * lam * t)
     return (v * phases) @ v.conj().T
 
 
@@ -36,6 +36,23 @@ def ode_oracle(h: np.ndarray, t: float, dt_max: float) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     steps = rk4_steps(h, t, dt_max)
     return rk4(h, np.eye(3, dtype=complex), t / steps, steps)
+
+
+def ae_h_eff(params: RamanParams) -> np.ndarray:
+    """AE effective 2x2 Hamiltonian, each entry written from the parameters:
+    -(1/2) [[delta + |Omega0|^2/(2 Delta), Omega0 Omega1*/(2 Delta)],
+            [c.c., -delta + |Omega1|^2/(2 Delta)]]."""
+    d = params.delta_avg
+    dd = params.delta_2ph
+    o0, o1 = params.omega0, params.omega1
+    cross = o0 * np.conj(o1) / (2.0 * d)
+    return -0.5 * np.array(
+        [
+            [dd + abs(o0) ** 2 / (2.0 * d), cross],
+            [np.conj(cross), -dd + abs(o1) ** 2 / (2.0 * d)],
+        ],
+        dtype=complex,
+    )
 
 
 def ae_population_1(params: RamanParams, t: float) -> float:

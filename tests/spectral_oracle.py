@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ramanls.numerics import EigenH3
 
-
-def mat_func_h3(spec: EigenH3, f) -> np.ndarray:
+def mat_func_h3(spec: tuple[np.ndarray, np.ndarray], f) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
+    ``spec`` is the (eigenvalues, eigenvectors) pair of ``eig_h3``.
     Returns sum_i f(lambda_i) P_i, evaluated as V diag(f(lambda)) V^dagger.
     """
-    vals = np.array([f(lam) for lam in spec.eigenvalues])
-    v = spec.eigenvectors
+    lams, v = spec
+    vals = np.array([f(lam) for lam in lams])
     return (v * vals) @ v.conj().T

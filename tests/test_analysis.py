@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ramanls.analysis import (METHODS, amplitude_p, delta_resonant_ae,
-                              delta_resonant_lightshift, fidelity, rabi_ae,
+                              delta_resonant_lightshift, rabi_ae,
                               rabi_exact_delta0, rabi_general,
                               trace_populations)
 from ramanls.lippmann_schwinger import TimeGrid, auto_grid
@@ -103,34 +103,6 @@ def test_amplitude_is_one_at_resonant_detuning():
         delta = delta_resonant_ae(base)
         tuned = RamanParams(base.delta_avg, delta, base.omega0, base.omega1)
         assert amplitude_p(tuned) == 1.0
-
-
-# ----------------------------------------------------------- fidelity
-
-
-def test_fidelity_basics():
-    a = np.array([1.0, 0.0, 0.0], dtype=complex)
-    b = np.array([0.0, 1.0, 0.0], dtype=complex)
-    assert fidelity(a, a) == 1.0
-    assert fidelity(a, b) == 0.0
-    with pytest.raises(ValueError):
-        fidelity(a, 2 * b)
-    with pytest.raises(ValueError, match="unit norm"):
-        fidelity(np.array([np.nan, 0.0, 0.0]), a)
-
-
-def test_fidelity_symmetry_and_phase_invariance():
-    rng = np.random.default_rng(43)
-    for _ in range(20):
-        a = rng.normal(size=3) + 1j * rng.normal(size=3)
-        b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        f = fidelity(a, b)
-        assert 0.0 <= f <= 1.0 + 1e-15
-        assert fidelity(b, a) == pytest.approx(f, rel=1e-14)
-        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        assert fidelity(phase * a, b) == pytest.approx(f, rel=1e-13)
 
 
 # ----------------------------------------------------------- traces

@@ -60,10 +60,14 @@ def test_parse_config_dt_end_conversion():
 
 
 def test_parse_config_psi0():
-    rc = parse_config(["evolve", "--delta-avg", "400", "--omega0", "40",
-                       "--omega1", "40", "--t-end", "1", "--method", "ae",
-                       "--psi0", "0,1,0"])
-    assert np.allclose(rc.psi0, [0, 1, 0])
+    evolve = ["evolve", "--delta-avg", "400", "--omega0", "40", "--omega1", "40",
+              "--t-end", "1", "--method", "ae", "--psi0"]
+    assert np.allclose(parse_config(evolve + ["0,1,0"]).psi0, [0, 1, 0])
+    # Finite and nonzero, though the plain norm would underflow or overflow.
+    for text in ("1e-200,1e-200,0", "1e200,1e200,0"):
+        psi0 = parse_config(evolve + [text]).psi0
+        assert np.allclose(np.abs(psi0), [0.5 ** 0.5, 0.5 ** 0.5, 0.0],
+                           rtol=0, atol=1e-15)
 
 
 def test_signed_values_parse_as_their_attached_form(capsys):
@@ -444,3 +448,13 @@ def test_numerical_failure_removes_partial_output(tmp_path, capsys):
         assert code == EXIT_NUMERICAL
         assert not out.exists()
         assert "both drives" in capsys.readouterr().err
+    # Squares of these parameters leave double range inside the Raman block.
+    for flags in (["--delta-avg", "1e150", "--omega0", "200", "--method", "ae"],
+                  ["--delta-avg", "400", "--omega0", "1e200", "--method", "exact-new"]):
+        code = cli.main(["evolve", *flags, "--omega1", "120", "--dt-end", "1",
+                         "--points", "4", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure in scenario evolve: parameters "
+                              "overflow double precision: delta_avg = "), err

@@ -20,9 +20,8 @@ CYCLE = 2.0 * np.pi / OMEGA_R
 
 
 def exact_table(params, times):
-    spec = eig_h3(h_new(params))
-    v = spec.eigenvectors
-    phases = np.exp(-1j * np.outer(times, spec.eigenvalues))
+    lam, v = eig_h3(h_new(params))
+    phases = np.exp(-1j * np.outer(times, lam))
     return np.einsum("tk,ak,bk->tab", phases, v, v.conj())
 
 
@@ -91,7 +90,7 @@ def test_u0_symmetric_is_mean_of_sides():
 
 
 def test_symmetric_zeroth_order_matches_closed_form():
-    # Independent of spectral_m0sq, _u0_tables and sinc_sqrt: M0^2 is the
+    # Independent of spectral_m0sq, _u0_table and sinc_sqrt: M0^2 is the
     # block-diagonal part of h_new^2, diagonalised by eigh, and with
     # K = sin(M0 t)/M0 the zeroth orders are cos(M0 t) - i K H (R),
     # cos(M0 t) - i H K (L) and cos(M0 t) - (i/2)(K H + H K) (S).

@@ -97,12 +97,6 @@ def test_ode_oracle_reverses_time():
     assert np.abs(back - fwd.conj().T).max() <= 1e-8
 
 
-def test_exact_unitary_rejects_nonhermitian():
-    bad = np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
-    with pytest.raises(ValueError, match="Hermitian"):
-        exact_unitary(bad, 0.1)
-
-
 # ---------------------------------------------------------------- AE model
 
 
@@ -129,6 +123,14 @@ def test_ae_model_consistency_with_eigensystem():
         d, dd = p.delta_avg, p.delta_2ph
         literal = (s / (4 * d)) ** 2 + dd * w / (2 * d) + dd * dd
         assert rabi_ae(p)**2 == pytest.approx(literal, rel=1e-10)
+
+
+def test_ae_model_overflow_is_a_value_error():
+    # det of the Raman block grows as Delta^4 and leaves double range near 1e77.
+    assert np.all(np.isfinite(ae_model(RamanParams(1e76, 0.0, 1.0, 1.0))))
+    for p in (RamanParams(1e78, 0.0, 1.0, 1.0), RamanParams(400.0, 0.0, 1e200, 1.0)):
+        with pytest.raises(ValueError, match="overflow double precision"):
+            ae_model(p)
 
 
 def test_ae_population_formula():

@@ -9,14 +9,18 @@ L form of the Born step goes unseen.  Examples are derandomized, so a run
 is reproducible and its cost bounded.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ramanls.analysis import trace_populations
 from ramanls.lippmann_schwinger import GRID_PHASE_LIMIT, TimeGrid, iterate
-from ramanls.model import RamanParams, spectral_m0sq
+from ramanls.model import RamanParams, h_ae, h_new, spectral_m0sq
+from ramanls.propagators import ae_model
 
 import ls_quadratic
+from propagator_oracle import ae_h_eff
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -90,3 +94,19 @@ def test_delta0_matches_exact_at_zero_two_photon_detuning(data):
     for level in ("p0", "p1", "pe"):
         gap = np.abs(getattr(spectral, level) - getattr(exact, level)).max()
         assert gap <= 1e-12, level
+
+
+@SETTINGS
+@given(st.data())
+def test_hamiltonians_are_exactly_hermitian(data):
+    # eig_h3 reads only the lower triangle and checks nothing, so every
+    # Hamiltonian a method diagonalises must equal its conjugate transpose
+    # bit for bit (== ignores the sign of zero), one drive off included.
+    params = data.draw(raman_params())
+    off = data.draw(st.sampled_from([None, "omega0", "omega1"]))
+    if off:
+        params = replace(params, **{off: 0j})
+    for h in (h_ae(params), h_new(params), ae_model(params)):
+        assert np.all(h == h.conj().T), h
+    h_eff, literal = ae_model(params), ae_h_eff(params)
+    assert np.abs(h_eff - literal).max() <= 1e-15 * np.abs(literal).max()
