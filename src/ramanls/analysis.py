@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lippmann_schwinger import TimeGrid, Variant, apply_normalized, iterate
+from .lippmann_schwinger import (TimeGrid, Variant, _u0_table, apply_normalized,
+                                 iterate)
 from .model import RamanParams, _raman_block, h_ae, h_new, spectral_m0sq
 from .propagators import (ae_model, m0_effective_unitary, mode_factors, rk4,
                           rk4_steps, state_table)
@@ -55,6 +56,7 @@ def rabi_general(params: RamanParams) -> float:
 
 def delta_resonant_ae(params: RamanParams) -> float:
     """Two-photon detuning cancelling the AE effective detuning."""
+    _raman_block(params)  # the overflow check
     return -params.omega_imbalance / (4.0 * params.delta_avg)
 
 
@@ -66,6 +68,7 @@ def delta_resonant_lightshift(params: RamanParams) -> tuple[float, float]:
     delta = |omega1|^2/(4 Delta + 2 delta) - |omega0|^2/(4 Delta - 2 delta),
     seeded at the closed form.
     """
+    _raman_block(params)  # the overflow check: d^4 and every |omega|^2 fit
     d = params.delta_avg
     o0_sq = abs(params.omega0) ** 2
     o1_sq = abs(params.omega1) ** 2
@@ -136,14 +139,11 @@ def _m0eff(params, psi0, grid, order, dt_max):
 def _delta0(params, psi0, grid, order, dt_max):
     if params.delta_2ph != 0.0:
         raise ValueError("method delta0 requires zero two-photon detuning")
+    # H commutes with M0^2 at zero two-photon detuning, so U0 is exact.
     sd = spectral_m0sq(params)
-    proj = np.stack(sd.projectors)
-    cos_rows, sinc_rows = mode_factors(sd, grid.times)
-    hpsi = h_new(params) @ psi0
-    # Contracted straight into states: an (n+1, 3, 3) operator table
-    # would double the peak memory of long traces.
-    return (np.einsum("it,iab,b->ta", cos_rows, proj, psi0)
-            - 1j * np.einsum("it,iab,b->ta", sinc_rows, proj, hpsi))
+    u0 = _u0_table(Variant.R, sd.projectors, h_new(params),
+                   *mode_factors(sd, grid.times))
+    return np.einsum("abt,b->ta", u0, psi0)
 
 
 def _ls(variant):

@@ -3,8 +3,9 @@ studies and figure presets, all emitted as CSV.
 
 ``SCENARIO_KEYS`` lists exactly the keys each scenario reads: every key
 is its flag ``--key`` and its config-file key alike.  Every scenario
-writes through one path: ``_tables`` yields (path, header, columns) for
-each CSV and ``_write_csv`` writes the columns row by row.
+writes through one path: ``_tables`` yields (path, header, blocks) for
+each CSV, a block being the float columns of one trace or table plus its
+label, and ``_write_csv`` writes each block row by row.
 
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
@@ -318,21 +319,23 @@ PRESET_GROUPS = {"3": ["3a", "3b", "3c"], "4": ["4a", "4b"]}
 # ----------------------------------------------------------------------
 # output
 
-def _write_csv(fh, header, columns) -> None:
-    """Write equal-length columns to an open file: a list of str as is, a
-    float array at 17 significant digits.  Cells are formatted row by row
-    as they are written, never held as strings all at once."""
-    cells = [col if isinstance(col, list) else map("{:.17g}".format, col.tolist())
-             for col in columns]
+def _write_csv(fh, header, blocks) -> None:
+    """Write the header, then every (columns, label) block of an open file:
+    one row per entry of its equal-length float columns, each at 17
+    significant digits, ending in the label cell unless the label is None.
+    Rows are formatted one at a time as they are written."""
     fh.write(",".join(header) + "\n")
-    fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    for columns, label in blocks:
+        cells = ["%.17g"] * len(columns) + ([] if label is None else [label])
+        row = ",".join(cells) + "\n"
+        fh.writelines(row % values for values in zip(*columns))
 
 
-def _trace_columns(params: RamanParams, t_end: float, methods, psi0,
-                   points: int | None):
-    """The TRACE_HEADER columns of the methods' traces, one after another,
-    on ``points`` intervals rounded up to even (the mandated grid if None).
-    Only the integral hierarchy (ls-*) raises a coarser grid to it."""
+def _trace_blocks(params: RamanParams, t_end: float, methods, psi0,
+                  points: int | None):
+    """One TRACE_HEADER block per method, on ``points`` intervals rounded
+    up to even (the mandated grid if None).  Only the integral hierarchy
+    (ls-*) raises a coarser grid to it."""
     required = required_intervals(params, t_end)
     n = required if points is None else points + (points % 2)
     if n < required and any(m.startswith("ls-") for m, _ in methods):
@@ -342,15 +345,12 @@ def _trace_columns(params: RamanParams, t_end: float, methods, psi0,
     grid = TimeGrid(t_end=t_end, n=n)
     traces = [trace_populations(name, params, psi0, grid, order=order)
               for name, order in methods]
-    times = np.concatenate([tr.times for tr in traces])
-    return (times, times * params.delta_avg,
-            *(np.concatenate([getattr(tr, f) for tr in traces])
-              for f in ("p0", "p1", "pe", "norm")),
-            [tr.label for tr in traces for _ in range(len(tr.times))])
+    return [((tr.times, tr.times * params.delta_avg, tr.p0, tr.p1, tr.pe, tr.norm),
+             tr.label) for tr in traces]
 
 
-def _fidelity_columns(delta_avg: float, omega1: float, ratios, omega_r_t_max: float,
-                      points: int | None):
+def _fidelity_block(delta_avg: float, omega1: float, ratios, omega_r_t_max: float,
+                    points: int | None):
     """Exact-evolution fidelity between the two resonant-detuning choices,
     over omega_r_t_max Rabi phases, for each ratio |omega0|/|omega1|."""
     phase = np.linspace(0.0, omega_r_t_max, 701 if points is None else points)
@@ -364,20 +364,20 @@ def _fidelity_columns(delta_avg: float, omega1: float, ratios, omega_r_t_max: fl
         sa = state_table(h_ae(pa), times, psi0)
         sb = state_table(h_ae(pb), times, psi0)
         overlaps.append(np.abs(np.einsum("ta,ta->t", sa.conj(), sb)))
-    return (np.repeat(np.array(ratios, dtype=float), len(phase)),
-            np.tile(phase, len(ratios)), np.concatenate(overlaps))
+    return [((np.repeat(np.array(ratios, dtype=float), len(phase)),
+              np.tile(phase, len(ratios)), np.concatenate(overlaps)), None)]
 
 
-def _sweep_columns(config: RunConfig):
+def _sweep_block(config: RunConfig):
     values = np.linspace(config.sweep_from, config.sweep_to, config.points)
     field_name = _AXIS_FIELDS[config.sweep_axis]
     params = [replace(config.params, **{field_name: v}) for v in values.tolist()]
-    return (values, *(np.array([OBSERVABLES[o](p) for p in params], dtype=float)
-                      for o in config.observables))
+    return [((values, *(np.array([OBSERVABLES[o](p) for p in params], dtype=float)
+                        for o in config.observables)), None)]
 
 
 def _tables(config: RunConfig):
-    """Yield (path, header, columns) for every CSV the scenario writes."""
+    """Yield (path, header, blocks) for every CSV the scenario writes."""
     if config.scenario == "figure":
         ids = PRESET_GROUPS.get(config.figure_id, [config.figure_id])
         base = Path(config.out or ".")
@@ -389,25 +389,25 @@ def _tables(config: RunConfig):
             else:
                 path = base
             if "fidelity" in preset:
-                yield path, FIDELITY_HEADER, _fidelity_columns(*preset["fidelity"],
-                                                               config.points)
+                yield path, FIDELITY_HEADER, _fidelity_block(*preset["fidelity"],
+                                                             config.points)
             else:
-                yield path, TRACE_HEADER, _trace_columns(
+                yield path, TRACE_HEADER, _trace_blocks(
                     preset["params"], preset["t_end"], preset["methods"],
                     config.psi0, config.points)
     elif config.scenario == "sweep":
         yield (Path(config.out or "sweep.csv"), (config.sweep_axis, *config.observables),
-               _sweep_columns(config))
+               _sweep_block(config))
     elif config.scenario == "fidelity":
         p = config.params
         if p.omega0 == 0 or p.omega1 == 0:
             raise ValueError("the fidelity study needs both drives on; "
                              "omega0 and omega1 must be nonzero")
-        yield Path(config.out or "fidelity.csv"), FIDELITY_HEADER, _fidelity_columns(
+        yield Path(config.out or "fidelity.csv"), FIDELITY_HEADER, _fidelity_block(
             p.delta_avg, abs(p.omega1), [abs(p.omega0) / abs(p.omega1)],
             config.omega_r_t_max, config.points)
     else:
-        yield Path(config.out or "trace.csv"), TRACE_HEADER, _trace_columns(
+        yield Path(config.out or "trace.csv"), TRACE_HEADER, _trace_blocks(
             config.params, config.t_end, config.methods, config.psi0, config.points)
 
 
@@ -420,10 +420,10 @@ def run(config: RunConfig) -> list[Path]:
     """
     written: list[Path] = []
     try:
-        for path, header, columns in _tables(config):
+        for path, header, blocks in _tables(config):
             with open(path, "w", newline="\n") as fh:
                 written.append(path)
-                _write_csv(fh, header, columns)
+                _write_csv(fh, header, blocks)
     except Exception as exc:
         for path in written:
             path.unlink(missing_ok=True)

@@ -117,16 +117,6 @@ def validate_grid(grid: TimeGrid, params: RamanParams) -> SpectralData:
     return sd
 
 
-@dataclass(frozen=True, eq=False)
-class PropagatorTable:
-    """Approximate propagator of one variant and order on every grid node."""
-
-    grid: TimeGrid
-    variant: Variant
-    order: int
-    matrices: np.ndarray  # shape (n+1, 3, 3)
-
-
 def _u0_table(variant: Variant, proj: np.ndarray, h: np.ndarray,
               cos_rows: np.ndarray, sinc_rows: np.ndarray) -> np.ndarray:
     """Zeroth-order table U0(t) = sum_m C_m(t) P_m - i S_m(t) B_m.
@@ -142,8 +132,8 @@ def _u0_table(variant: Variant, proj: np.ndarray, h: np.ndarray,
 
 
 # Every table, U0 included, is a (3, 3, n+1) array, time on the last
-# axis, so that every operation runs over long contiguous rows; only the
-# returned PropagatorTable is transposed to one 3x3 matrix per node.
+# axis, so that every operation runs over long contiguous rows; iterate
+# returns the (n+1, 3, 3) node-major view of it, one 3x3 matrix per node.
 # np.matmul on an (n+1, 3, 3) stack multiplies the 3x3 blocks one at a
 # time, and a BLAS product over the flattened table may start threads;
 # _u0_table and _left avoid both.
@@ -235,39 +225,40 @@ _SIDES = {Variant.R: (_born_integral,), Variant.L: (_l_form,),
 
 
 def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
-            order: int, *, eps_scale: float = 1.0) -> PropagatorTable:
+            order: int, *, eps_scale: float = 1.0) -> np.ndarray:
     """Born iteration of the chosen integral equation up to the given order.
 
-    ``eps_scale`` multiplies the off-diagonal remainder only; it is the
-    knob used by the convergence-order tests.
+    Returns the propagator on every grid node as an (n+1, 3, 3) array, a
+    view of the time-last table.  ``eps_scale`` multiplies the
+    off-diagonal remainder only; it is the knob used by the
+    convergence-order tests.
     """
     variant = Variant(variant)
     if order < 0:
         raise ValueError("order must be >= 0")
     sd = validate_grid(grid, params)
-    proj = np.stack(sd.projectors)
     modes = mode_factors(sd, grid.times)
     h = h_new(params)
     if order:
         step = (split_square(params, eps_scale=eps_scale).eps, grid.dt,
-                *modes, _mode_basis(proj))
+                *modes, _mode_basis(sd.projectors))
 
     # M is the mean of the R and L tables, both built on the one solve sd.
     tables = []
     for side in (Variant.R, Variant.L) if variant is Variant.M else (variant,):
-        u0 = _u0_table(side, proj, h, *modes)
+        u0 = _u0_table(side, sd.projectors, h, *modes)
         table = u0
         for _ in range(order):
             corrs = [born(table, *step) for born in _SIDES[side]]
             table = u0 - sum(corrs[1:], corrs[0]) / len(corrs)
         tables.append(table)
     table = tables[0] if len(tables) == 1 else 0.5 * (tables[0] + tables[1])
-    return PropagatorTable(grid=grid, variant=variant, order=order,
-                           matrices=np.ascontiguousarray(table.transpose(2, 0, 1)))
+    return table.transpose(2, 0, 1)
 
 
-def apply_normalized(table: PropagatorTable, psi0: np.ndarray) -> np.ndarray:
-    """Apply the table to an initial state and renormalize node by node.
+def apply_normalized(table: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+    """Apply an (n+1, 3, 3) table to an initial state and renormalize node
+    by node.
 
     Returns the (n+1, 3) array of unit-norm states.  Rejects states whose
     raw norm collapses below 1e-6, which signals that the approximation
@@ -276,13 +267,12 @@ def apply_normalized(table: PropagatorTable, psi0: np.ndarray) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=complex)
     if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # false for NaN too
         raise ValueError("initial state must have unit norm")
-    raw = table.matrices @ psi0
+    raw = table @ psi0
     norms = np.linalg.norm(raw, axis=1)
     worst = norms.min()
     if worst < 1e-6:
-        node = int(norms.argmin())
         raise ValueError(
             f"propagator table lost normalization (norm {worst:.2e} at "
-            f"t = {table.grid.times[node]:.6g}); approximation broke down"
+            f"node {int(norms.argmin())}); approximation broke down"
         )
     return raw / norms[:, None]

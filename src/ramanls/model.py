@@ -73,15 +73,16 @@ class SplitSquare:
 class SpectralData:
     """Eigenvalues and orthogonal projectors of the block-diagonal square.
 
-    The three projectors (upper-block plus/minus, excited slot) are 3x3,
-    Hermitian, idempotent, mutually orthogonal and sum to the identity;
-    sum_i mu_i^2 P_i reconstructs m0sq.
+    ``projectors`` is a (3, 3, 3) array of the three projectors
+    (upper-block plus/minus, excited slot): Hermitian, idempotent,
+    mutually orthogonal and summing to the identity; sum_i mu_i^2 P_i
+    reconstructs m0sq.
     """
 
     mu_plus_sq: float
     mu_minus_sq: float
     mu_e_sq: float
-    projectors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    projectors: np.ndarray
 
     @property
     def mu_plus(self) -> float:
@@ -127,7 +128,9 @@ def split_square(params: RamanParams, *, eps_scale: float = 1.0) -> SplitSquare:
 
     ``eps_scale`` multiplies the remainder only (m0sq untouched); it exists
     for convergence-order tests and is not reachable from the CLI.
+    Parameters whose squares leave double range raise ValueError.
     """
+    _raman_block(params)  # the overflow check
     d, dd = params.delta_avg, params.delta_2ph
     om = params.omega
     diag2 = np.array([d + dd, d - dd])
@@ -187,4 +190,4 @@ def spectral_m0sq(params: RamanParams) -> SpectralData:
     proj[2, 2, 2] = 1.0
     return SpectralData(mu_plus_sq=mu_plus_sq, mu_minus_sq=mu_minus_sq,
                         mu_e_sq=0.25 * (d * d + params.omega_sq),
-                        projectors=tuple(proj))
+                        projectors=proj)

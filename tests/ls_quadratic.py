@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ramanls.lippmann_schwinger import (PropagatorTable, TimeGrid, Variant,
-                                        _u0_table, validate_grid)
+from ramanls.lippmann_schwinger import TimeGrid, Variant, _u0_table, validate_grid
 from ramanls.model import RamanParams, h_new, spectral_m0sq, split_square
 from ramanls.propagators import mode_factors
 
@@ -48,10 +47,9 @@ def prefix_weights(i: int, dt: float) -> np.ndarray:
 def _projector_sums(params: RamanParams, times: np.ndarray):
     """cos(M0 t) and K(t) = sin(M0 t)/M0 as (n+1, 3, 3) tables."""
     sd = spectral_m0sq(params)
-    proj = np.stack(sd.projectors)
     cos_rows, sinc_rows = mode_factors(sd, times)
-    return (np.einsum("it,iab->tab", cos_rows, proj),
-            np.einsum("it,iab->tab", sinc_rows, proj))
+    return (np.einsum("it,iab->tab", cos_rows, sd.projectors),
+            np.einsum("it,iab->tab", sinc_rows, sd.projectors))
 
 
 def kernel_table(params: RamanParams, times: np.ndarray) -> np.ndarray:
@@ -92,27 +90,24 @@ def born_step(variant: Variant, u0_t: np.ndarray, prev: np.ndarray,
 
 
 def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
-            order: int, *, eps_scale: float = 1.0) -> PropagatorTable:
+            order: int, *, eps_scale: float = 1.0) -> np.ndarray:
     """Quadratic-cost counterpart of ``lippmann_schwinger.iterate``."""
     variant = Variant(variant)
     validate_grid(grid, params)
     if variant is Variant.M:
-        mats = 0.5 * (iterate("R", params, grid, order, eps_scale=eps_scale).matrices
-                      + iterate("L", params, grid, order, eps_scale=eps_scale).matrices)
-        return PropagatorTable(grid=grid, variant=variant, order=order,
-                               matrices=mats)
+        return 0.5 * (iterate("R", params, grid, order, eps_scale=eps_scale)
+                      + iterate("L", params, grid, order, eps_scale=eps_scale))
     u0_t = u0_table(variant, params, grid.times)
     kernel = kernel_table(params, grid.times)
     eps = split_square(params, eps_scale=eps_scale).eps
     table = u0_t
     for _ in range(order):
         table = born_step(variant, u0_t, table, kernel, eps, grid.dt)
-    return PropagatorTable(grid=grid, variant=variant, order=order,
-                           matrices=table)
+    return table
 
 
 def u0(variant: Variant | str, params: RamanParams, t: float) -> np.ndarray:
     """Zeroth-order propagator of the chosen variant at a single time."""
     sd = spectral_m0sq(params)
-    return _u0_table(Variant(variant), np.stack(sd.projectors), h_new(params),
+    return _u0_table(Variant(variant), sd.projectors, h_new(params),
                      *mode_factors(sd, np.array([float(t)])))[..., 0]

@@ -80,9 +80,8 @@ def exact_delta0(params: RamanParams, t: float) -> np.ndarray:
         raise ValueError("exact_delta0 requires zero two-photon detuning")
     sd = spectral_m0sq(params)
     cos_rows, sinc_rows = mode_factors(sd, np.array([t], dtype=float))
-    proj = np.stack(sd.projectors)
-    cos_m = np.tensordot(cos_rows[:, 0], proj, 1)
-    sinc_m = np.tensordot(sinc_rows[:, 0], proj, 1)
+    cos_m = np.tensordot(cos_rows[:, 0], sd.projectors, 1)
+    sinc_m = np.tensordot(sinc_rows[:, 0], sd.projectors, 1)
     return cos_m - 1j * sinc_m @ h_new(params)
 
 

@@ -196,7 +196,7 @@ def test_c10_order_scaling_in_eps():
                 t = grid.times[i]
                 ref = (mat_func_h3(spec, lambda lam: math.cos(math.sqrt(max(lam, 0.0)) * t))
                        - 1j * mat_func_h3(spec, lambda lam: sinc_sqrt(lam, t)) @ h)
-                worst = max(worst, float(np.abs(tab.matrices[i] - ref).max()))
+                worst = max(worst, float(np.abs(tab[i] - ref).max()))
             errs.append(worst)
         slopes.append(float(np.polyfit(np.log(etas), np.log(errs), 1)[0]))
     ok = all(abs(slopes[k] - (k + 1)) <= 0.3 for k in (0, 1))
@@ -225,7 +225,7 @@ def test_c12_unitarity_deviation_order():
     grid = auto_grid(FIG4, 45.0 / 400.0)
     devs = []
     for k in (0, 1, 2):
-        u = iterate("R", FIG4, grid, k).matrices[-1]
+        u = iterate("R", FIG4, grid, k)[-1]
         devs.append(float(np.abs(u.conj().T @ u - np.eye(3)).max()))
     monotone = devs[0] > devs[1] > devs[2]
     rate = math.sqrt(devs[0] / devs[2])

@@ -458,3 +458,12 @@ def test_numerical_failure_removes_partial_output(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("numerical failure in scenario evolve: parameters "
                               "overflow double precision: delta_avg = "), err
+    # ... and in the resonant detunings the fidelity study starts from.
+    for delta_avg, omega0 in (("1e200", "120"), ("400", "1e200")):
+        code = cli.main(["fidelity", "--delta-avg", delta_avg, "--omega0", omega0,
+                         "--omega1", "40", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure in scenario fidelity: parameters "
+                              "overflow double precision: delta_avg = "), err

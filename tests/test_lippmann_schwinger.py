@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ramanls.lippmann_schwinger import (GRID_PHASE_LIMIT, PropagatorTable,
-                                        TimeGrid, Variant, apply_normalized,
-                                        auto_grid, iterate,
+from ramanls.lippmann_schwinger import (GRID_PHASE_LIMIT, TimeGrid, Variant,
+                                        apply_normalized, auto_grid, iterate,
                                         required_intervals, validate_grid)
 from ramanls.model import RamanParams, h_new, spectral_m0sq, split_square
 from ramanls.numerics import eig_h3, sinc_sqrt
@@ -110,7 +109,7 @@ def test_symmetric_zeroth_order_matches_closed_form():
             "S": cos_t - 0.5j * (kernel @ h + h @ kernel)}
     for variant, ref in refs.items():
         tab = iterate(variant, FIG4, g, 0)
-        assert np.abs(tab.matrices - ref).max() <= 1e-12, variant
+        assert np.abs(tab - ref).max() <= 1e-12, variant
 
 
 # ---------------------------------------------------------------- iterate
@@ -121,7 +120,7 @@ def test_tables_start_at_identity():
     for variant in ("R", "L", "S", "M"):
         for order in (0, 1):
             tab = iterate(variant, FIG4, g, order)
-            assert np.abs(tab.matrices[0] - np.eye(3)).max() == 0.0
+            assert np.abs(tab[0] - np.eye(3)).max() == 0.0
 
 
 def test_iterate_rejects_negative_order():
@@ -133,9 +132,8 @@ def test_iterate_rejects_negative_order():
 def test_iterate_order_zero_is_u0_table():
     g = auto_grid(FIG4, 45.0 / 400.0)
     tab = iterate("R", FIG4, g, 0)
-    assert tab.order == 0 and tab.variant is Variant.R
     for i in (0, g.n // 2, g.n):
-        assert np.abs(tab.matrices[i] - u0("R", FIG4, g.times[i])).max() < 1e-14
+        assert np.abs(tab[i] - u0("R", FIG4, g.times[i])).max() < 1e-14
 
 
 def test_iterate_zero_detuning_corrections_vanish():
@@ -143,7 +141,7 @@ def test_iterate_zero_detuning_corrections_vanish():
     g = auto_grid(p, 0.1)
     t0 = iterate("S", p, g, 0)
     t2 = iterate("S", p, g, 2)
-    assert np.abs(t0.matrices - t2.matrices).max() == 0.0
+    assert np.abs(t0 - t2).max() == 0.0
 
 
 def test_hierarchy_improves_with_order():
@@ -187,13 +185,13 @@ def test_mean_variant_differs_from_symmetric_beyond_zeroth():
     tab_s = iterate("S", FIG4, g, 1)
     tab_r = iterate("R", FIG4, g, 1)
     tab_l = iterate("L", FIG4, g, 1)
-    assert np.abs(0.5 * (tab_r.matrices + tab_l.matrices) - tab_m.matrices).max() == 0.0
+    assert np.abs(0.5 * (tab_r + tab_l) - tab_m).max() == 0.0
     # distinct from the symmetric iteration at the same order, same accuracy class
-    assert np.abs(tab_m.matrices - tab_s.matrices).max() > 1e-3
+    assert np.abs(tab_m - tab_s).max() > 1e-3
     exact = exact_table(FIG4, g.times)
-    err_m = np.abs(tab_m.matrices - exact).max()
-    err_rl = max(np.abs(tab_r.matrices - exact).max(),
-                 np.abs(tab_l.matrices - exact).max())
+    err_m = np.abs(tab_m - exact).max()
+    err_rl = max(np.abs(tab_r - exact).max(),
+                 np.abs(tab_l - exact).max())
     assert err_m <= 1.5 * err_rl
 
 
@@ -202,11 +200,11 @@ def test_volterra_self_consistency():
     # reproduce it to the quadrature floor, O(dt^4 t) times the kernel scale.
     g = auto_grid(FIG4, 45.0 / 400.0, refine=2.0)
     tab = iterate("R", FIG4, g, 5)
-    u0_t = ls_quadratic.iterate("R", FIG4, g, 0).matrices
-    rhs = ls_quadratic.born_step(Variant.R, u0_t, tab.matrices,
+    u0_t = ls_quadratic.iterate("R", FIG4, g, 0)
+    rhs = ls_quadratic.born_step(Variant.R, u0_t, tab,
                                  ls_quadratic.kernel_table(FIG4, g.times),
                                  split_square(FIG4).eps, g.dt)
-    assert np.abs(tab.matrices - rhs).max() <= 1e-6
+    assert np.abs(tab - rhs).max() <= 1e-6
 
 
 # n = 2..12 cover the i = 1 trapezoid, the pure 3/8 node i = 3, odd-node
@@ -219,9 +217,28 @@ ORACLE_GRIDS = [TimeGrid(t_end=n * 1e-4, n=n) for n in (2, 4, 6, 8, 10, 12)] \
 def test_separable_iterate_matches_quadratic_oracle(variant):
     for g in ORACLE_GRIDS:
         for order in range(4):
-            fast = iterate(variant, FIG4, g, order).matrices
-            slow = ls_quadratic.iterate(variant, FIG4, g, order).matrices
+            fast = iterate(variant, FIG4, g, order)
+            slow = ls_quadratic.iterate(variant, FIG4, g, order)
             assert np.abs(fast - slow).max() <= 1e-12, (g.n, order)
+
+
+@pytest.mark.parametrize("variant", ["R", "L", "S"])
+def test_quadrature_order_against_exact(variant):
+    # The quadratic oracle uses the same quadrature rule, so it cannot show
+    # that the rule is right; exact propagation can.  At k = 16 the Born truncation is gone
+    # over figure 4's window, and what remains is quadrature error.
+    # Halving dt must cut it 16-fold (measured 16.1-16.4 at even nodes,
+    # 19-20 at odd nodes >= 3) for the Simpson and 3/8 rules, and 8-fold
+    # at node 1, the lone trapezoid interval (third order: measured 8.0,
+    # the largest error in the table).
+    t_end = 100.0 / 400.0
+    n = required_intervals(FIG4, t_end)
+    coarse, fine = (np.abs(iterate(variant, FIG4, g, 16)
+                           - exact_table(FIG4, g.times)).max(axis=(1, 2))
+                    for g in (TimeGrid(t_end, n), TimeGrid(t_end, 2 * n)))
+    assert coarse[0::2].max() / fine[0::2].max() > 14.0
+    assert coarse[3::2].max() / fine[3::2].max() > 14.0
+    assert coarse[1] / fine[1] > 7.0
 
 
 @pytest.mark.parametrize("params", [
@@ -236,8 +253,8 @@ def test_one_photon_resonance_small_mu(params):
     for g in grids:
         for variant in ("R", "L", "S", "M"):
             for order in (1, 2):
-                fast = iterate(variant, params, g, order).matrices
-                slow = ls_quadratic.iterate(variant, params, g, order).matrices
+                fast = iterate(variant, params, g, order)
+                slow = ls_quadratic.iterate(variant, params, g, order)
                 assert np.all(np.isfinite(fast))
                 assert np.abs(fast - slow).max() <= 1e-12, (g.n, variant, order)
 
@@ -261,7 +278,7 @@ def test_order_scaling_in_eps():
                 t = g.times[i]
                 ref = (mat_func_h3(spec, lambda lam: np.cos(np.sqrt(max(lam, 0.0)) * t))
                        - 1j * mat_func_h3(spec, lambda lam: sinc_sqrt(lam, t)) @ h)
-                worst = max(worst, float(np.abs(tab.matrices[i] - ref).max()))
+                worst = max(worst, float(np.abs(tab[i] - ref).max()))
             errs.append(worst)
         slope = np.polyfit(np.log(etas), np.log(errs), 1)[0]
         assert abs(slope - (k + 1)) <= 0.3
@@ -271,7 +288,7 @@ def test_unitarity_deviation_shrinks_with_order():
     g = auto_grid(FIG4, 45.0 / 400.0)
     devs = []
     for k in (0, 1, 2):
-        u = iterate("R", FIG4, g, k).matrices[-1]
+        u = iterate("R", FIG4, g, k)[-1]
         devs.append(float(np.abs(u.conj().T @ u - np.eye(3)).max()))
     assert devs[0] > devs[1] > devs[2]
 
@@ -313,9 +330,7 @@ def test_apply_normalized_zero_detuning_matches_exact():
 
 
 def test_apply_normalized_rejects_collapsed_norm():
-    g = TimeGrid(t_end=0.01, n=2)
     mats = np.stack([np.eye(3, dtype=complex)] * 3)
     mats[2] *= 1e-9
-    tab = PropagatorTable(grid=g, variant=Variant.R, order=0, matrices=mats)
     with pytest.raises(ValueError, match="broke down"):
-        apply_normalized(tab, PSI0)
+        apply_normalized(mats, PSI0)

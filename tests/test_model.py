@@ -68,6 +68,13 @@ def test_split_square_zero_detuning_kills_eps():
     assert np.abs(split_square(p).eps).max() == 0.0
 
 
+def test_split_square_overflow_is_a_value_error():
+    # |Omega|^2 leaves double range above 1.3e154, Delta^4 near 1e77.
+    for p in (RamanParams(400.0, 0.0, 2e154, 1.0), RamanParams(1e78, 0.0, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="overflow double precision"):
+            split_square(p)
+
+
 def test_split_square_reconstructs_h_squared():
     rng = np.random.default_rng(8)
     for _ in range(30):
