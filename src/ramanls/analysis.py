@@ -1,11 +1,12 @@
 """Scalar observables and population traces.
 
-Effective Rabi frequencies from the three treatments, the two resonance
-detunings plus the self-consistent light-shift solution, the transfer
-amplitude, and a uniform population-trace record for every propagation
-method the package offers.  The Rabi frequencies and the amplitude read
-the closed-form Raman block, so they stay accurate to a few ulps at weak
-drive, where adiabatic elimination is reliable.
+Effective Rabi frequencies from the three treatments, the resonance
+detunings of adiabatic elimination and of the linearised light-shift
+balance, the transfer amplitude, and a uniform population-trace record
+for every propagation method the package offers.  The Rabi frequencies
+and the amplitude read the closed-form Raman block, so they stay
+accurate to a few ulps at weak drive, where adiabatic elimination is
+reliable.
 """
 
 from __future__ import annotations
@@ -60,35 +61,15 @@ def delta_resonant_ae(params: RamanParams) -> float:
     return -params.omega_imbalance / (4.0 * params.delta_avg)
 
 
-def delta_resonant_lightshift(params: RamanParams) -> tuple[float, float]:
-    """Resonant detuning from the light-shift balance.
-
-    Returns ``(approx, exact)``: the leading closed form and the Newton
-    solution of the self-consistent balance
-    delta = |omega1|^2/(4 Delta + 2 delta) - |omega0|^2/(4 Delta - 2 delta),
-    seeded at the closed form.
-    """
+def delta_resonant_lightshift(params: RamanParams) -> float:
+    """Resonant detuning in closed form: the light-shift balance
+    delta = |omega1|^2/(4 Delta + 2 delta) - |omega0|^2/(4 Delta - 2 delta)
+    linearised in delta/Delta."""
     _raman_block(params)  # the overflow check: d^4 and every |omega|^2 fit
     d = params.delta_avg
     o0_sq = abs(params.omega0) ** 2
     o1_sq = abs(params.omega1) ** 2
-    approx = 2.0 * d * (o1_sq - o0_sq) / (8.0 * d * d + o0_sq + o1_sq)
-
-    x = approx
-    for _ in range(50):
-        den_p = 4.0 * d + 2.0 * x
-        den_m = 4.0 * d - 2.0 * x
-        if den_p == 0 or den_m == 0:
-            raise ValueError("light-shift balance hit a vanishing denominator")
-        f = x - o1_sq / den_p + o0_sq / den_m
-        df = 1.0 + 2.0 * o1_sq / den_p**2 + 2.0 * o0_sq / den_m**2
-        step = f / df
-        x -= step
-        if abs(step) <= 1e-12 * max(abs(x), 1e-300):
-            return approx, x
-    raise ValueError(
-        f"light-shift Newton did not converge; last residual {f:.3e}"
-    )
+    return 2.0 * d * (o1_sq - o0_sq) / (8.0 * d * d + o0_sq + o1_sq)
 
 
 def amplitude_p(params: RamanParams) -> float:

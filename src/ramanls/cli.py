@@ -5,12 +5,14 @@ studies and figure presets, all emitted as CSV.
 is its flag ``--key`` and its config-file key alike.  Every scenario
 writes through one path: ``_tables`` yields (path, header, blocks) for
 each CSV, a block being the float columns of one trace or table plus its
-label, and ``_write_csv`` writes each block row by row.
+label, and ``_write_csv`` writes each block row by row.  Blocks are
+computed as they are written, one trace in memory at a time.
 
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
 figure presets.  Exit codes: 0 success, 2 usage error (an output path
-that cannot be written included), 3 numerical failure.
+that cannot be written included), 3 numerical failure (an array too
+large for memory included).
 """
 
 from __future__ import annotations
@@ -329,13 +331,14 @@ def _write_csv(fh, header, blocks) -> None:
         cells = ["%.17g"] * len(columns) + ([] if label is None else [label])
         row = ",".join(cells) + "\n"
         fh.writelines(row % values for values in zip(*columns))
+        del columns  # before the next block is computed
 
 
 def _trace_blocks(params: RamanParams, t_end: float, methods, psi0,
                   points: int | None):
-    """One TRACE_HEADER block per method, on ``points`` intervals rounded
-    up to even (the mandated grid if None).  Only the integral hierarchy
-    (ls-*) raises a coarser grid to it."""
+    """Yield one TRACE_HEADER block per method, on ``points`` intervals
+    rounded up to even (the mandated grid if None).  Only the integral
+    hierarchy (ls-*) raises a coarser grid to it."""
     required = required_intervals(params, t_end)
     n = required if points is None else points + (points % 2)
     if n < required and any(m.startswith("ls-") for m, _ in methods):
@@ -343,29 +346,28 @@ def _trace_blocks(params: RamanParams, t_end: float, methods, psi0,
               f"hierarchy; raised to {required}", file=sys.stderr)
         n = required
     grid = TimeGrid(t_end=t_end, n=n)
-    traces = [trace_populations(name, params, psi0, grid, order=order)
-              for name, order in methods]
-    return [((tr.times, tr.times * params.delta_avg, tr.p0, tr.p1, tr.pe, tr.norm),
-             tr.label) for tr in traces]
+    for name, order in methods:
+        tr = trace_populations(name, params, psi0, grid, order=order)
+        yield ((tr.times, tr.times * params.delta_avg, tr.p0, tr.p1, tr.pe, tr.norm),
+               tr.label)
+        del tr  # before the next trace is computed
 
 
 def _fidelity_block(delta_avg: float, omega1: float, ratios, omega_r_t_max: float,
                     points: int | None):
-    """Exact-evolution fidelity between the two resonant-detuning choices,
-    over omega_r_t_max Rabi phases, for each ratio |omega0|/|omega1|."""
+    """Yield per ratio |omega0|/|omega1| the exact-evolution fidelity between
+    the two resonant-detuning choices over omega_r_t_max Rabi phases."""
     phase = np.linspace(0.0, omega_r_t_max, 701 if points is None else points)
     psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    overlaps = []
     for ratio in ratios:
         base = RamanParams(delta_avg, 0.0, complex(ratio * omega1), complex(omega1))
         pa = replace(base, delta_2ph=delta_resonant_ae(base))
-        pb = replace(base, delta_2ph=delta_resonant_lightshift(base)[0])
+        pb = replace(base, delta_2ph=delta_resonant_lightshift(base))
         times = phase / rabi_ae(pa)
         sa = state_table(h_ae(pa), times, psi0)
         sb = state_table(h_ae(pb), times, psi0)
-        overlaps.append(np.abs(np.einsum("ta,ta->t", sa.conj(), sb)))
-    return [((np.repeat(np.array(ratios, dtype=float), len(phase)),
-              np.tile(phase, len(ratios)), np.concatenate(overlaps)), None)]
+        overlap = np.abs(np.einsum("ta,ta->t", sa.conj(), sb))
+        yield (np.full(len(phase), float(ratio)), phase, overlap), None
 
 
 def _sweep_block(config: RunConfig):
@@ -414,9 +416,9 @@ def _tables(config: RunConfig):
 def run(config: RunConfig) -> list[Path]:
     """Execute a RunConfig; returns the written paths.
 
-    Any numerical rejection from the library surfaces as ValueError, and a
-    path that cannot be written as UsageError, after the files this run
-    opened for writing have been removed.
+    Any numerical rejection from the library surfaces as ValueError (or
+    MemoryError), and a path that cannot be written as UsageError, after
+    the files this run opened for writing have been removed.
     """
     written: list[Path] = []
     try:
@@ -439,7 +441,7 @@ def main(argv=None) -> int:
         config = parse_config(argv)
         try:
             run(config)
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        except (ValueError, ArithmeticError, MemoryError) as exc:
             print(f"numerical failure in scenario {config.scenario}: {exc}",
                   file=sys.stderr)
             return EXIT_NUMERICAL

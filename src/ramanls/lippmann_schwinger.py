@@ -97,12 +97,9 @@ def required_intervals(params: RamanParams, t_end: float) -> int:
     return max(2, n + (n % 2))
 
 
-def auto_grid(params: RamanParams, t_end: float, *, refine: float = 1.0) -> TimeGrid:
-    """Grid at the mandated density, optionally refined by a factor."""
-    n = required_intervals(params, t_end)
-    if refine != 1.0:
-        n = int(math.ceil(n * refine / 2.0) * 2)
-    return TimeGrid(t_end=t_end, n=n)
+def auto_grid(params: RamanParams, t_end: float) -> TimeGrid:
+    """Grid at the mandated density."""
+    return TimeGrid(t_end=t_end, n=required_intervals(params, t_end))
 
 
 def validate_grid(grid: TimeGrid, params: RamanParams) -> SpectralData:

@@ -41,11 +41,6 @@ class RamanParams:
             raise ValueError("average detuning must be nonzero")
 
     @property
-    def omega(self) -> np.ndarray:
-        """Two-component column of Rabi frequencies."""
-        return np.array([self.omega0, self.omega1], dtype=complex)
-
-    @property
     def omega_sq(self) -> float:
         """|omega0|^2 + |omega1|^2."""
         return abs(self.omega0) ** 2 + abs(self.omega1) ** 2
@@ -73,33 +68,19 @@ class SplitSquare:
 class SpectralData:
     """Eigenvalues and orthogonal projectors of the block-diagonal square.
 
-    ``projectors`` is a (3, 3, 3) array of the three projectors
-    (upper-block plus/minus, excited slot): Hermitian, idempotent,
-    mutually orthogonal and summing to the identity; sum_i mu_i^2 P_i
-    reconstructs m0sq.
+    ``mu_sq`` holds mu_+^2, mu_-^2, mu_e^2 (upper-block plus/minus,
+    excited slot), aligned with the (3, 3, 3) ``projectors``: Hermitian,
+    idempotent, mutually orthogonal and summing to the identity;
+    sum_m mu_sq[m] projectors[m] reconstructs m0sq.
     """
 
-    mu_plus_sq: float
-    mu_minus_sq: float
-    mu_e_sq: float
+    mu_sq: np.ndarray
     projectors: np.ndarray
-
-    @property
-    def mu_plus(self) -> float:
-        return math.sqrt(self.mu_plus_sq)
-
-    @property
-    def mu_minus(self) -> float:
-        return math.sqrt(self.mu_minus_sq)
-
-    @property
-    def mu_e(self) -> float:
-        return math.sqrt(self.mu_e_sq)
 
     @property
     def mu_max(self) -> float:
         """Fastest frequency scale, max(mu_plus, mu_e)."""
-        return max(self.mu_plus, self.mu_e)
+        return math.sqrt(max(self.mu_sq[0], self.mu_sq[2]))
 
 
 def h_ae(params: RamanParams) -> np.ndarray:
@@ -132,7 +113,7 @@ def split_square(params: RamanParams, *, eps_scale: float = 1.0) -> SplitSquare:
     """
     _raman_block(params)  # the overflow check
     d, dd = params.delta_avg, params.delta_2ph
-    om = params.omega
+    om = np.array([params.omega0, params.omega1], dtype=complex)
     diag2 = np.array([d + dd, d - dd])
     m0sq = np.zeros((3, 3), dtype=complex)
     m0sq[:2, :2] = 0.25 * (np.diag(diag2**2) + np.outer(om, om.conj()))
@@ -188,6 +169,5 @@ def spectral_m0sq(params: RamanParams) -> SpectralData:
     proj[0, :2, :2] = 0.5 * (np.eye(2) + t)
     proj[1, :2, :2] = 0.5 * (np.eye(2) - t)
     proj[2, 2, 2] = 1.0
-    return SpectralData(mu_plus_sq=mu_plus_sq, mu_minus_sq=mu_minus_sq,
-                        mu_e_sq=0.25 * (d * d + params.omega_sq),
-                        projectors=proj)
+    mu_sq = np.array([mu_plus_sq, mu_minus_sq, 0.25 * (d * d + params.omega_sq)])
+    return SpectralData(mu_sq=mu_sq, projectors=proj)

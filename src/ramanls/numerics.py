@@ -15,8 +15,7 @@ import numpy as np
 def eig_h3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
     Hermitian 3x3 or 2x2 matrix; only its lower triangle is read."""
-    lam, vec = np.linalg.eigh(a)
-    return lam, vec
+    return np.linalg.eigh(a)
 
 
 def sinc_sqrt(lam, t):

@@ -72,8 +72,8 @@ def mode_factors(sd: SpectralData, times: np.ndarray) -> tuple[np.ndarray, np.nd
     Both are (3, len(times)) arrays, time last, one row per projector of
     ``sd``, evaluated from mu_m^2 >= 0 so that mu_m -> 0 never divides.
     """
-    mus_sq = np.array([sd.mu_plus_sq, sd.mu_minus_sq, sd.mu_e_sq])[:, None]
-    return np.cos(np.sqrt(mus_sq) * times), sinc_sqrt(mus_sq, times)
+    mu_sq = sd.mu_sq[:, None]
+    return np.cos(np.sqrt(mu_sq) * times), sinc_sqrt(mu_sq, times)
 
 
 def m0_effective_unitary(params: RamanParams, t: float | np.ndarray) -> np.ndarray:
@@ -85,8 +85,9 @@ def m0_effective_unitary(params: RamanParams, t: float | np.ndarray) -> np.ndarr
     then holds one 2x2 matrix per time on its leading axes.
     """
     sd = spectral_m0sq(params)
+    mu_plus, mu_minus = np.sqrt(sd.mu_sq[:2])
     p_plus = sd.projectors[0][:2, :2]
     p_minus = sd.projectors[1][:2, :2]
     t = np.asarray(t, dtype=float)[..., None, None]
-    return (np.exp(1j * sd.mu_plus * t) * p_plus
-            + np.exp(1j * sd.mu_minus * t) * p_minus)
+    return (np.exp(1j * mu_plus * t) * p_plus
+            + np.exp(1j * mu_minus * t) * p_minus)

@@ -2,8 +2,9 @@
 
 The exact 3x3 propagator by eigendecomposition, an RK4 integration of the
 propagator from the identity, the adiabatic-elimination effective
-Hamiltonian entry by entry and its closed-form population, and the
-zero-detuning propagator and excited population in closed form.  No
+Hamiltonian entry by entry and its closed-form population, the
+zero-detuning propagator and excited population in closed form, and the
+Newton solution of the self-consistent light-shift balance.  No
 package path calls them; they are kept only as the references the
 package's methods are checked against.
 """
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from ramanls.analysis import rabi_ae
+from ramanls.analysis import delta_resonant_lightshift, rabi_ae
 from ramanls.model import RamanParams, h_new, spectral_m0sq
 from ramanls.numerics import eig_h3
 from ramanls.propagators import mode_factors, rk4, rk4_steps
@@ -91,3 +92,23 @@ def excited_pop_delta0(params: RamanParams, t: float) -> float:
         raise ValueError("excited_pop_delta0 requires zero two-photon detuning")
     big = params.delta_avg**2 + params.omega_sq
     return abs(params.omega0) ** 2 / big * math.sin(0.5 * math.sqrt(big) * t) ** 2
+
+
+def lightshift_balance(params: RamanParams) -> float:
+    """Newton solution of the self-consistent light-shift balance
+    delta = |omega1|^2/(4 Delta + 2 delta) - |omega0|^2/(4 Delta - 2 delta),
+    seeded at its linearised closed form ``delta_resonant_lightshift``."""
+    d = params.delta_avg
+    o0_sq = abs(params.omega0) ** 2
+    o1_sq = abs(params.omega1) ** 2
+    x = delta_resonant_lightshift(params)
+    for _ in range(50):
+        den_p = 4.0 * d + 2.0 * x
+        den_m = 4.0 * d - 2.0 * x
+        f = x - o1_sq / den_p + o0_sq / den_m
+        df = 1.0 + 2.0 * o1_sq / den_p**2 + 2.0 * o0_sq / den_m**2
+        step = f / df
+        x -= step
+        if abs(step) <= 1e-12 * max(abs(x), 1e-300):
+            return x
+    raise ValueError(f"light-shift Newton did not converge; last residual {f:.3e}")

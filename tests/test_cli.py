@@ -442,6 +442,13 @@ def test_numerical_failure_removes_partial_output(tmp_path, capsys):
                      "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert not out.exists()
+    # A block fails after the first one was written to the file.
+    code = cli.main(["compare", "--delta-avg", "400", "--delta", "5",
+                     "--omega0", "40", "--omega1", "40", "--t-end", "0.1",
+                     "--points", "50", "--method", "exact-new,delta0",
+                     "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert not out.exists()
     for omega0, omega1 in (("0", "40"), ("120", "0")):
         code = cli.main(["fidelity", "--delta-avg", "400", "--omega0", omega0,
                          "--omega1", omega1, "--out", str(out)])
@@ -467,3 +474,18 @@ def test_numerical_failure_removes_partial_output(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("numerical failure in scenario fidelity: parameters "
                               "overflow double precision: delta_avg = "), err
+    # Arrays larger than any address space: nothing is allocated, and the
+    # MemoryError is a numerical failure like any other.
+    huge = "1000000000000000"
+    for argv in (["evolve", "--delta-avg", "400", "--omega0", "200", "--omega1", "120",
+                  "--t-end", "1e12", "--method", "exact-new"],
+                 ["sweep", "--delta-avg", "400", "--omega0", "200", "--omega1", "120",
+                  "--axis", "delta", "--from", "-1", "--to", "1", "--points", huge],
+                 ["fidelity", "--delta-avg", "400", "--omega0", "200", "--omega1", "40",
+                  "--points", huge]):
+        code = cli.main(argv + ["--out", str(out)])
+        assert code == EXIT_NUMERICAL, argv
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure in scenario {argv[0]}: "
+                              "Unable to allocate"), err

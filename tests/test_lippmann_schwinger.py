@@ -14,7 +14,8 @@ from spectral_oracle import mat_func_h3
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
 PSI0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-OMEGA_R = spectral_m0sq(FIG4).mu_plus - spectral_m0sq(FIG4).mu_minus
+MU_PLUS, MU_MINUS = np.sqrt(spectral_m0sq(FIG4).mu_sq[:2])
+OMEGA_R = MU_PLUS - MU_MINUS
 CYCLE = 2.0 * np.pi / OMEGA_R
 
 
@@ -93,7 +94,7 @@ def test_symmetric_zeroth_order_matches_closed_form():
     # block-diagonal part of h_new^2, diagonalised by eigh, and with
     # K = sin(M0 t)/M0 the zeroth orders are cos(M0 t) - i K H (R),
     # cos(M0 t) - i H K (L) and cos(M0 t) - (i/2)(K H + H K) (S).
-    g = auto_grid(FIG4, CYCLE, refine=2.0)
+    g = TimeGrid(t_end=CYCLE, n=2 * required_intervals(FIG4, CYCLE))
     h = h_new(FIG4)
     h_sq = h @ h
     m0sq = np.zeros((3, 3), dtype=complex)
@@ -145,7 +146,7 @@ def test_iterate_zero_detuning_corrections_vanish():
 
 
 def test_hierarchy_improves_with_order():
-    g = auto_grid(FIG4, CYCLE, refine=2.0)
+    g = TimeGrid(t_end=CYCLE, n=2 * required_intervals(FIG4, CYCLE))
     exact = exact_table(FIG4, g.times)
     for variant in ("R", "L"):
         errs = [pop_error(iterate(variant, FIG4, g, k), exact) for k in (0, 1, 2)]
@@ -157,7 +158,7 @@ def test_symmetric_zeroth_order_quality():
     # Measured method error of the normalized symmetric zeroth order over
     # one full slow cycle is 0.0226 in the relevant-level populations
     # (largest near the middle of the cycle), best of the three variants.
-    g = auto_grid(FIG4, CYCLE, refine=2.0)
+    g = TimeGrid(t_end=CYCLE, n=2 * required_intervals(FIG4, CYCLE))
     exact = exact_table(FIG4, g.times)
     ref = np.abs(np.einsum("tab,b->ta", exact, PSI0)) ** 2
 
@@ -172,7 +173,7 @@ def test_symmetric_zeroth_order_quality():
 
 
 def test_symmetric_hierarchy_also_improves():
-    g = auto_grid(FIG4, CYCLE, refine=2.0)
+    g = TimeGrid(t_end=CYCLE, n=2 * required_intervals(FIG4, CYCLE))
     exact = exact_table(FIG4, g.times)
     errs = [pop_error(iterate("S", FIG4, g, k), exact) for k in (0, 1, 2)]
     assert errs[0] > errs[1] > errs[2]
@@ -198,7 +199,7 @@ def test_mean_variant_differs_from_symmetric_beyond_zeroth():
 def test_volterra_self_consistency():
     # Substituting a converged table back into the right-hand side must
     # reproduce it to the quadrature floor, O(dt^4 t) times the kernel scale.
-    g = auto_grid(FIG4, 45.0 / 400.0, refine=2.0)
+    g = TimeGrid(t_end=45.0 / 400.0, n=2 * required_intervals(FIG4, 45.0 / 400.0))
     tab = iterate("R", FIG4, g, 5)
     u0_t = ls_quadratic.iterate("R", FIG4, g, 0)
     rhs = ls_quadratic.born_step(Variant.R, u0_t, tab,
@@ -248,7 +249,7 @@ def test_quadrature_order_against_exact(variant):
 def test_one_photon_resonance_small_mu(params):
     # The kernel split must not divide by mu_minus: every variant stays
     # finite and equal to the direct quadratic sum.
-    assert spectral_m0sq(params).mu_minus_sq < 1e-6
+    assert spectral_m0sq(params).mu_sq[1] < 1e-6
     grids = [TimeGrid(t_end=0.001, n=4), auto_grid(params, 45.0 / 400.0)]
     for g in grids:
         for variant in ("R", "L", "S", "M"):
@@ -264,7 +265,7 @@ def test_order_scaling_in_eps():
     # eta^(k+1); the resummed reference is cos(G t) - i sinc(G^2) H with
     # G^2 = m0sq + eta * eps.
     t_end = 45.0 / 400.0
-    g = auto_grid(FIG4, t_end, refine=2.0)
+    g = TimeGrid(t_end=t_end, n=2 * required_intervals(FIG4, t_end))
     h = h_new(FIG4)
     etas = (1.0, 0.5, 0.25)
     for k in (0, 1):

@@ -113,16 +113,16 @@ def test_m0sq_excited_entry_independent_of_detuning():
 
 def test_spectral_fig4_eigenvalues():
     sd = spectral_m0sq(FIG4)
-    assert sd.mu_plus_sq == pytest.approx(52864.0, abs=1e-8)
-    assert sd.mu_minus_sq == pytest.approx(40864.0, abs=1e-8)
-    assert sd.mu_e_sq == pytest.approx(53600.0, abs=1e-8)
+    assert sd.mu_sq[0] == pytest.approx(52864.0, abs=1e-8)
+    assert sd.mu_sq[1] == pytest.approx(40864.0, abs=1e-8)
+    assert sd.mu_sq[2] == pytest.approx(53600.0, abs=1e-8)
 
 
 def test_spectral_delta0_balanced():
     p = RamanParams(400.0, 0.0, 70.0, 70.0)
     sd = spectral_m0sq(p)
-    assert sd.mu_plus_sq == pytest.approx(0.25 * (400.0**2 + p.omega_sq), rel=1e-14)
-    assert sd.mu_minus_sq == pytest.approx(0.25 * 400.0**2, rel=1e-14)
+    assert sd.mu_sq[0] == pytest.approx(0.25 * (400.0**2 + p.omega_sq), rel=1e-14)
+    assert sd.mu_sq[1] == pytest.approx(0.25 * 400.0**2, rel=1e-14)
 
 
 def test_spectral_dark_projector_at_delta0():
@@ -150,9 +150,9 @@ def test_spectral_projector_invariants_and_reconstruction():
         for i in range(3):
             for j in range(i + 1, 3):
                 assert np.abs(sd.projectors[i] @ sd.projectors[j]).max() < 1e-12
-        recon = (sd.mu_plus_sq * sd.projectors[0]
-                 + sd.mu_minus_sq * sd.projectors[1]
-                 + sd.mu_e_sq * sd.projectors[2])
+        recon = (sd.mu_sq[0] * sd.projectors[0]
+                 + sd.mu_sq[1] * sd.projectors[1]
+                 + sd.mu_sq[2] * sd.projectors[2])
         m0sq = split_square(p).m0sq
         assert np.abs(recon - m0sq).max() < 1e-12 * np.abs(m0sq).max()
 
@@ -168,10 +168,11 @@ def test_spectral_eigencolumns():
         d_sq_flip = np.diag([(p.delta_avg - p.delta_2ph) ** 2,
                              (p.delta_avg + p.delta_2ph) ** 2])
         for mu_sq, own, other in (
-            (sd.mu_plus_sq, sd.projectors[0], sd.projectors[1]),
-            (sd.mu_minus_sq, sd.projectors[1], sd.projectors[0]),
+            (sd.mu_sq[0], sd.projectors[0], sd.projectors[1]),
+            (sd.mu_sq[1], sd.projectors[1], sd.projectors[0]),
         ):
-            col = (4.0 * mu_sq * np.eye(2) - d_sq_flip) @ p.omega
+            omega = np.array([p.omega0, p.omega1])
+            col = (4.0 * mu_sq * np.eye(2) - d_sq_flip) @ omega
             norm = np.linalg.norm(col)
             if norm < 1e-9:
                 continue
@@ -188,11 +189,11 @@ def test_spectral_gap_formula_and_resonant_value():
         s, w = p.omega_sq, p.omega_imbalance
         four_dd = 4.0 * p.delta_2ph * p.delta_avg
         gap = 0.25 * np.sqrt(s * s + 2.0 * four_dd * w + four_dd**2)
-        assert sd.mu_plus_sq - sd.mu_minus_sq == pytest.approx(gap, rel=1e-12)
+        assert sd.mu_sq[0] - sd.mu_sq[1] == pytest.approx(gap, rel=1e-12)
     # at the resonant detuning the gap is |omega0||omega1|/2 exactly
     p = RamanParams(400.0, -16.0, 200.0, 120.0)
     sd = spectral_m0sq(p)
-    assert sd.mu_plus_sq - sd.mu_minus_sq == pytest.approx(200.0 * 120.0 / 2.0,
+    assert sd.mu_sq[0] - sd.mu_sq[1] == pytest.approx(200.0 * 120.0 / 2.0,
                                                            rel=1e-13)
 
 
@@ -200,15 +201,15 @@ def test_spectral_axis_fallback_single_drive():
     p = RamanParams(400.0, 20.0, 150.0, 0.0)
     sd = spectral_m0sq(p)
     block = split_square(p).m0sq[:2, :2]
-    recon = (sd.mu_plus_sq * sd.projectors[0][:2, :2]
-             + sd.mu_minus_sq * sd.projectors[1][:2, :2])
+    recon = (sd.mu_sq[0] * sd.projectors[0][:2, :2]
+             + sd.mu_sq[1] * sd.projectors[1][:2, :2])
     assert np.abs(recon - block).max() < 1e-12 * np.abs(block).max()
-    assert sd.mu_plus_sq >= sd.mu_minus_sq
+    assert sd.mu_sq[0] >= sd.mu_sq[1]
 
 
 def test_spectral_one_drive_off_at_one_photon_resonance():
     # Delta + delta = 0 with omega0 = 0: |0> decouples at zero energy.
     sd = spectral_m0sq(RamanParams(0.3, -0.3, 0.0, 0.37))
-    assert sd.mu_minus_sq == 0.0
-    assert sd.mu_minus == 0.0
+    assert sd.mu_sq[1] == 0.0
+    assert np.sqrt(sd.mu_sq[1]) == 0.0
     assert np.array_equal(sd.projectors[1], np.diag([1.0, 0.0, 0.0]))

@@ -71,8 +71,8 @@ def test_raman_block_matches_mpmath(p):
 def check(p, ref):
     sd = spectral_m0sq(p)
     got = {
-        "mu_plus_sq": sd.mu_plus_sq,
-        "mu_minus_sq": sd.mu_minus_sq,
+        "mu_plus_sq": sd.mu_sq[0],
+        "mu_minus_sq": sd.mu_sq[1],
         "rabi": rabi_general(p),
         "amplitude": amplitude_p(p),
         "omega_r": rabi_ae(p),
