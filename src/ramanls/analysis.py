@@ -20,7 +20,7 @@ from .lippmann_schwinger import (TimeGrid, Variant, _u0_table, apply_normalized,
                                  iterate)
 from .model import RamanParams, _raman_block, h_ae, h_new, spectral_m0sq
 from .propagators import (ae_model, m0_effective_unitary, mode_factors, rk4,
-                          rk4_steps, state_table)
+                          rk4_steps, state_table, step_powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +97,13 @@ def _with_empty_excited(two: np.ndarray) -> np.ndarray:
 # binding (as a profiler does) sees every call.
 
 def _ode(params, psi0, grid, order, dt_max):
+    """RK4 across each grid interval in ``rk4_steps`` equal substeps.  The
+    map is the same 3x3 matrix on every interval, so node i is its i-th
+    power applied to psi0, evaluated by ``step_powers``."""
     h = h_new(params)
     substeps = rk4_steps(h, grid.dt, grid.dt if dt_max is None else dt_max)
-    dt = grid.dt / substeps
-    states = np.empty((grid.n + 1, 3), dtype=complex)
-    states[0] = psi0
-    for i in range(grid.n):
-        states[i + 1] = rk4(h, states[i], dt, substeps)
-    return states
+    step = rk4(h, np.eye(3, dtype=complex), grid.dt / substeps, substeps)
+    return step_powers(step, psi0, grid.n)
 
 
 def _ae(params, psi0, grid, order, dt_max):

@@ -5,8 +5,10 @@ studies and figure presets, all emitted as CSV.
 is its flag ``--key`` and its config-file key alike.  Every scenario
 writes through one path: ``_tables`` yields (path, header, blocks) for
 each CSV, a block being the float columns of one trace or table plus its
-label, and ``_write_csv`` writes each block row by row.  Blocks are
-computed as they are written, one trace in memory at a time.
+label, and ``_write_csv`` formats each block ``CHUNK_ROWS`` rows at a
+time, one ``%`` on a repeated row template per chunk.  Blocks are
+computed as they are written: a trace or compare holds one trace in
+memory at a time, and a sweep one chunk of points.
 
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
@@ -48,6 +50,8 @@ OBSERVABLES = {
     "rabi-ae": lambda p: rabi_ae(p),
     "amplitude": lambda p: amplitude_p(p),
 }
+#: Rows formatted per write in ``_write_csv``, and points per sweep block.
+CHUNK_ROWS = 4096
 TRACE_HEADER = ("t", "dt_times_Delta", "p0", "p1", "pe", "norm", "method")
 FIDELITY_HEADER = ("ratio", "omega_r_t", "fidelity")
 
@@ -325,12 +329,16 @@ def _write_csv(fh, header, blocks) -> None:
     """Write the header, then every (columns, label) block of an open file:
     one row per entry of its equal-length float columns, each at 17
     significant digits, ending in the label cell unless the label is None.
-    Rows are formatted one at a time as they are written."""
+    Each chunk of ``CHUNK_ROWS`` rows is stacked into one flat list of
+    Python floats and formatted by one ``%`` on the row template repeated
+    once per row, then written at once."""
     fh.write(",".join(header) + "\n")
     for columns, label in blocks:
         cells = ["%.17g"] * len(columns) + ([] if label is None else [label])
         row = ",".join(cells) + "\n"
-        fh.writelines(row % values for values in zip(*columns))
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            chunk = np.column_stack([c[start:start + CHUNK_ROWS] for c in columns])
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
         del columns  # before the next block is computed
 
 
@@ -371,11 +379,15 @@ def _fidelity_block(delta_avg: float, omega1: float, ratios, omega_r_t_max: floa
 
 
 def _sweep_block(config: RunConfig):
+    """Yield the sweep one block of ``CHUNK_ROWS`` points at a time: the
+    axis values and one column per observable."""
     values = np.linspace(config.sweep_from, config.sweep_to, config.points)
     field_name = _AXIS_FIELDS[config.sweep_axis]
-    params = [replace(config.params, **{field_name: v}) for v in values.tolist()]
-    return [((values, *(np.array([OBSERVABLES[o](p) for p in params], dtype=float)
-                        for o in config.observables)), None)]
+    for start in range(0, len(values), CHUNK_ROWS):
+        chunk = values[start:start + CHUNK_ROWS]
+        params = [replace(config.params, **{field_name: v}) for v in chunk.tolist()]
+        yield (chunk, *(np.array([OBSERVABLES[o](p) for p in params], dtype=float)
+                        for o in config.observables)), None
 
 
 def _tables(config: RunConfig):

@@ -45,6 +45,7 @@ weights mirrored by the substitution: 3/8 on nodes 0..3, Simpson on 3..i.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -85,9 +86,13 @@ class TimeGrid:
     def dt(self) -> float:
         return self.t_end / self.n
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n + 1)
+        """The n + 1 node times, built once per grid and read-only, so
+        that every trace on the grid shares one array."""
+        times = np.linspace(0.0, self.t_end, self.n + 1)
+        times.flags.writeable = False
+        return times
 
 
 def required_intervals(params: RamanParams, t_end: float) -> int:

@@ -1,17 +1,22 @@
 """Propagators for the driven three-level system.
 
 Exact state evolution by eigendecomposition, the fixed-step RK4 kernel
-behind the ``ode`` method, the adiabatic-elimination effective
-Hamiltonian (``ae_model`` returns the 2x2 h_eff, read off the Raman
-block; its Rabi frequency is ``analysis.rabi_ae``), the cos/sinc mode
-factors of the squared Hamiltonian's block-diagonal part (shared by the
-zero-detuning solution and the integral hierarchy), and the effective
-two-level propagator built from that block.
+behind the ``ode`` method and the powers of its one-interval step
+matrix, the adiabatic-elimination effective Hamiltonian (``ae_model``
+returns the 2x2 h_eff, read off the Raman block; its Rabi frequency is
+``analysis.rabi_ae``), the cos/sinc mode factors of the squared
+Hamiltonian's block-diagonal part (shared by the zero-detuning solution
+and the integral hierarchy), and the effective two-level propagator
+built from that block.
 
 The RK4 kernel takes a state or a matrix: ``h @ x`` is the same product
-for both.  Every sin(M t)/M factor is evaluated as the even scalar
-function sin(sqrt(lam) t)/sqrt(lam) of the squared operator, so no
-square-root sign ever has to be chosen.
+for both.  H is time-independent, so RK4 across one grid interval is one
+fixed 3x3 matrix, ``rk4`` applied to the identity, and node i of an
+``ode`` trace is its i-th power applied to the initial state;
+``step_powers`` evaluates every node in O(sqrt(n)) Python iterations.
+Every sin(M t)/M factor is evaluated as the even scalar function
+sin(sqrt(lam) t)/sqrt(lam) of the squared operator, so no square-root
+sign ever has to be chosen.
 """
 
 from __future__ import annotations
@@ -54,6 +59,27 @@ def rk4(h: np.ndarray, x: np.ndarray, dt: float, steps: int) -> np.ndarray:
         k4 = -1j * (h @ (x + dt * k3))
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
+
+
+def step_powers(step: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
+    """The n + 1 vectors step^i x0, i = 0..n, as rows of one array.
+
+    Factored with B = isqrt(n) + 1: node qB + r is (step^B)^q (step^r x0),
+    so B vector steps and B matrix products feed one contraction.  The
+    rounding of ``step`` itself enters every power coherently, so node i
+    differs from applying the unrounded map i times by O(i) ulps.
+    """
+    b = math.isqrt(n) + 1
+    low = np.empty((b, len(x0)), dtype=complex)
+    low[0] = x0
+    for r in range(1, b):
+        low[r] = step @ low[r - 1]
+    high = np.empty((b, *step.shape), dtype=complex)
+    high[0] = np.eye(len(step))
+    big = np.linalg.matrix_power(step, b)
+    for q in range(1, b):
+        high[q] = big @ high[q - 1]
+    return np.einsum("qab,rb->qra", high, low).reshape(b * b, -1)[:n + 1]
 
 
 def ae_model(params: RamanParams) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Reference propagators and closed-form populations for the tests.
 
 The exact 3x3 propagator by eigendecomposition, an RK4 integration of the
-propagator from the identity, the adiabatic-elimination effective
+propagator from the identity, the ``ode`` states stepped node by node
+with RK4 on the state, the adiabatic-elimination effective
 Hamiltonian entry by entry and its closed-form population, the
 zero-detuning propagator and excited population in closed form, and the
 Newton solution of the self-consistent light-shift balance.  No
@@ -37,6 +38,20 @@ def ode_oracle(h: np.ndarray, t: float, dt_max: float) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     steps = rk4_steps(h, t, dt_max)
     return rk4(h, np.eye(3, dtype=complex), t / steps, steps)
+
+
+def ode_states_by_node(params: RamanParams, psi0: np.ndarray, grid,
+                       dt_max: float | None = None) -> np.ndarray:
+    """The (n+1, 3) ``ode`` states, RK4 applied to the state across one
+    grid interval at a time, in the substeps ``rk4_steps`` chooses."""
+    h = h_new(params)
+    substeps = rk4_steps(h, grid.dt, grid.dt if dt_max is None else dt_max)
+    dt = grid.dt / substeps
+    states = np.empty((grid.n + 1, 3), dtype=complex)
+    states[0] = psi0
+    for i in range(grid.n):
+        states[i + 1] = rk4(h, states[i], dt, substeps)
+    return states
 
 
 def ae_h_eff(params: RamanParams) -> np.ndarray:

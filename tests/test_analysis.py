@@ -8,7 +8,7 @@ from ramanls.analysis import (METHODS, amplitude_p, delta_resonant_ae,
 from ramanls.lippmann_schwinger import TimeGrid, auto_grid
 from ramanls.model import RamanParams
 
-from propagator_oracle import ae_population_1, lightshift_balance
+from propagator_oracle import ae_population_1, lightshift_balance, ode_states_by_node
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
 PSI0 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -148,6 +148,29 @@ def test_trace_ode_matches_exact():
     t_ode = trace_populations("ode", FIG4, PSI0, grid, dt_max=2.5e-5)
     assert np.abs(t_ode.p1 - t_exact.p1).max() <= 1e-8
     assert np.abs(t_ode.norm - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n, t_end, dt_max", [
+    (370, 0.25, None),                # the figure-4 preset grid, 5 substeps
+    (5000, 0.5, None),                # one step per interval
+    (40, 0.25, 2.5e-5),               # 250 substeps per interval
+])
+def test_trace_ode_matches_node_by_node_rk4(n, t_end, dt_max):
+    grid = TimeGrid(t_end=t_end, n=n)
+    trace = trace_populations("ode", FIG4, PSI0, grid, dt_max=dt_max)
+    ref = np.abs(ode_states_by_node(FIG4, PSI0, grid, dt_max)) ** 2
+    for got, want in zip((trace.p0, trace.p1, trace.pe), ref.T):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_grid_times_built_once_and_shared():
+    grid = TimeGrid(t_end=0.1, n=20)
+    assert grid.times is grid.times
+    with pytest.raises(ValueError, match="read-only"):
+        grid.times[3] = 0.0
+    a = trace_populations("exact-new", FIG4, PSI0, grid)
+    b = trace_populations("ode", FIG4, PSI0, grid)
+    assert a.times is b.times is grid.times
 
 
 def test_trace_ls_labels_and_norms():

@@ -1,4 +1,5 @@
 import argparse
+import io
 
 import numpy as np
 import pytest
@@ -363,6 +364,43 @@ def test_sweep_rows_match_library(tmp_path):
         assert amp == pytest.approx(amplitude_p(p), rel=1e-14)
     row40 = lines[41].split(",")
     assert float(row40[0]) == 0.0
+
+
+def per_row_csv(header, blocks):
+    """The CSV text of ``blocks`` formatted one row at a time."""
+    lines = [",".join(header)]
+    for columns, label in blocks:
+        for values in zip(*columns):
+            cells = ["%.17g" % x for x in values]
+            lines.append(",".join(cells + ([] if label is None else [label])))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
+def test_write_csv_chunks_give_per_row_bytes(rows):
+    rng = np.random.default_rng(rows)
+    cols = (rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows),
+            np.linspace(0.0, 1.0, rows), np.full(rows, -0.0), rng.uniform(size=rows))
+    blocks = [(cols, "ls-S-k1"), (cols[:2], None), ((cols[0][:1],), "x")]
+    fh = io.StringIO()
+    cli._write_csv(fh, ("a", "b", "c", "d"), iter(blocks))
+    assert fh.getvalue() == per_row_csv(("a", "b", "c", "d"), blocks)
+
+
+def test_sweep_over_several_chunks_matches_observables(tmp_path):
+    out = tmp_path / "sweep.csv"
+    points = 2 * cli.CHUNK_ROWS + 3
+    assert cli.main(["sweep", "--delta-avg", "400", "--omega0", "200",
+                     "--omega1", "120", "--axis", "omega1", "--from", "-40",
+                     "--to", "130", "--points", str(points),
+                     "--observable", "amplitude,rabi-ae", "--out", str(out)]) == EXIT_OK
+    values = np.linspace(-40.0, 130.0, points)
+    rows = []
+    for v in values.tolist():
+        p = RamanParams(400.0, 0.0, 200.0, v)
+        rows.append((v, cli.OBSERVABLES["amplitude"](p), cli.OBSERVABLES["rabi-ae"](p)))
+    assert out.read_text() == per_row_csv(("omega1", "amplitude", "rabi-ae"),
+                                          [(list(zip(*rows)), None)])
 
 
 def test_sweep_looks_up_observables_at_call_time(tmp_path, monkeypatch):
