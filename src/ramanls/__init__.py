@@ -2,8 +2,8 @@
 elimination: exact propagators, the two-level reductions, and the
 Lippmann-Schwinger approximation hierarchy."""
 
-from .model import RamanParams, SplitSquare, SpectralData, h_ae, h_new, \
-    split_square, spectral_m0sq
+from .model import RamanParams, SpectralData, h_ae, h_new, split_square, \
+    spectral_m0sq
 from .propagators import ae_model, m0_effective_unitary, state_table
 from .lippmann_schwinger import (TimeGrid, Variant, apply_normalized, auto_grid,
                                  iterate, required_intervals, validate_grid)
@@ -14,7 +14,7 @@ from .analysis import (METHODS, Trace, amplitude_p, delta_resonant_ae,
 __version__ = "0.1.0"
 
 __all__ = [
-    "RamanParams", "SplitSquare", "SpectralData", "h_ae", "h_new",
+    "RamanParams", "SpectralData", "h_ae", "h_new",
     "split_square", "spectral_m0sq",
     "ae_model", "m0_effective_unitary", "state_table",
     "TimeGrid", "Variant", "apply_normalized", "auto_grid", "iterate",

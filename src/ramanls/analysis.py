@@ -91,32 +91,32 @@ def _with_empty_excited(two: np.ndarray) -> np.ndarray:
     return np.concatenate([two, np.zeros((len(two), 1))], axis=1)
 
 
-# Every method maps (params, psi0, grid, order, dt_max) to the (n+1, 3)
+# Every method maps (params, psi0, grid, order) to the (n+1, 3)
 # states on the grid nodes.  The helpers are looked up in this module's
 # globals at call time, never bound early, so that wrapping a module
 # binding (as a profiler does) sees every call.
 
-def _ode(params, psi0, grid, order, dt_max):
+def _ode(params, psi0, grid, order):
     """RK4 across each grid interval in ``rk4_steps`` equal substeps.  The
     map is the same 3x3 matrix on every interval, so node i is its i-th
     power applied to psi0, evaluated by ``step_powers``."""
     h = h_new(params)
-    substeps = rk4_steps(h, grid.dt, grid.dt if dt_max is None else dt_max)
+    substeps = rk4_steps(h, grid.dt, grid.dt)
     step = rk4(h, np.eye(3, dtype=complex), grid.dt / substeps, substeps)
     return step_powers(step, psi0, grid.n)
 
 
-def _ae(params, psi0, grid, order, dt_max):
+def _ae(params, psi0, grid, order):
     psi01 = _require_no_excited(psi0, "ae")
     return _with_empty_excited(state_table(ae_model(params), grid.times, psi01))
 
 
-def _m0eff(params, psi0, grid, order, dt_max):
+def _m0eff(params, psi0, grid, order):
     psi01 = _require_no_excited(psi0, "m0eff")
     return _with_empty_excited(m0_effective_unitary(params, grid.times) @ psi01)
 
 
-def _delta0(params, psi0, grid, order, dt_max):
+def _delta0(params, psi0, grid, order):
     if params.delta_2ph != 0.0:
         raise ValueError("method delta0 requires zero two-photon detuning")
     # H commutes with M0^2 at zero two-photon detuning, so U0 is exact.
@@ -127,16 +127,16 @@ def _delta0(params, psi0, grid, order, dt_max):
 
 
 def _ls(variant):
-    def states(params, psi0, grid, order, dt_max):
+    def states(params, psi0, grid, order):
         return apply_normalized(iterate(variant, params, grid, order), psi0)
     return states
 
 
 #: Every method trace_populations accepts, mapped to its state table.
 METHODS = {
-    "exact-ae": lambda params, psi0, grid, order, dt_max:
+    "exact-ae": lambda params, psi0, grid, order:
         state_table(h_ae(params), grid.times, psi0),
-    "exact-new": lambda params, psi0, grid, order, dt_max:
+    "exact-new": lambda params, psi0, grid, order:
         state_table(h_new(params), grid.times, psi0),
     "ode": _ode,
     "ae": _ae,
@@ -147,14 +147,12 @@ METHODS = {
 
 
 def trace_populations(method: str, params: RamanParams, psi0: np.ndarray,
-                      grid: TimeGrid, *, order: int = 0,
-                      dt_max: float | None = None) -> Trace:
+                      grid: TimeGrid, *, order: int = 0) -> Trace:
     """Populations of the three levels along a grid, by any named method.
 
     Two-level methods ("ae", "m0eff") require a vanishing initial excited
     amplitude and report pe identically zero.  The "ls-*" methods take the
-    iteration order through ``order``; "ode" takes its step bound through
-    ``dt_max``.
+    iteration order through ``order``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
@@ -163,7 +161,7 @@ def trace_populations(method: str, params: RamanParams, psi0: np.ndarray,
         raise ValueError("initial state must have three components")
     if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # false for NaN too
         raise ValueError("initial state must have unit norm")
-    states = METHODS[method](params, psi0, grid, order, dt_max)
+    states = METHODS[method](params, psi0, grid, order)
     label = f"{method}-k{order}" if method.startswith("ls-") else method
     pops = np.abs(states) ** 2
     norm = np.sqrt(pops.sum(axis=1))

@@ -236,13 +236,13 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
     convergence-order tests.
     """
     variant = Variant(variant)
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    if not isinstance(order, numbers.Integral) or order < 0:
+        raise ValueError(f"order must be an integer >= 0, got {order!r}")
     sd = validate_grid(grid, params)
     modes = mode_factors(sd, grid.times)
     h = h_new(params)
     if order:
-        step = (split_square(params, eps_scale=eps_scale).eps, grid.dt,
+        step = (eps_scale * split_square(params), grid.dt,
                 *modes, _mode_basis(sd.projectors))
 
     # M is the mean of the R and L tables, both built on the one solve sd.
@@ -263,18 +263,20 @@ def apply_normalized(table: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     by node.
 
     Returns the (n+1, 3) array of unit-norm states.  Rejects states whose
-    raw norm collapses below 1e-6, which signals that the approximation
-    has left its domain of validity.
+    raw norm collapses below 1e-6 or is not finite, which signals that the
+    approximation has left its domain of validity.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # false for NaN too
         raise ValueError("initial state must have unit norm")
-    raw = table @ psi0
-    norms = np.linalg.norm(raw, axis=1)
-    worst = norms.min()
-    if worst < 1e-6:
+    with np.errstate(invalid="ignore", over="ignore"):  # rejected just below
+        raw = table @ psi0
+        norms = np.linalg.norm(raw, axis=1)
+    finite = np.isfinite(norms)
+    node = int(norms.argmin()) if finite.all() else int(finite.argmin())
+    if not finite[node] or norms[node] < 1e-6:
         raise ValueError(
-            f"propagator table lost normalization (norm {worst:.2e} at "
-            f"node {int(norms.argmin())}); approximation broke down"
+            f"propagator table lost normalization (norm {norms[node]:.2e} at "
+            f"node {node}); approximation broke down"
         )
     return raw / norms[:, None]

@@ -52,19 +52,6 @@ class RamanParams:
 
 
 @dataclass(frozen=True, eq=False)
-class SplitSquare:
-    """Decomposition of the squared shifted-picture Hamiltonian.
-
-    ``m0sq`` is the block-diagonal dominant part, ``eps`` the small
-    off-diagonal remainder; m0sq + eps equals h_new(params)^2 entrywise.
-    eps vanishes identically at zero two-photon detuning.
-    """
-
-    m0sq: np.ndarray
-    eps: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Eigenvalues and orthogonal projectors of the block-diagonal square.
 
@@ -104,26 +91,21 @@ def h_new(params: RamanParams) -> np.ndarray:
     return h_ae(params) - np.diag(np.full(3, 0.5 * params.delta_avg))
 
 
-def split_square(params: RamanParams, *, eps_scale: float = 1.0) -> SplitSquare:
-    """Split h_new(params)^2 into block-diagonal m0sq plus off-diagonal eps.
+def split_square(params: RamanParams) -> np.ndarray:
+    """The off-diagonal remainder eps = h_new(params)^2 - M0^2.
 
-    ``eps_scale`` multiplies the remainder only (m0sq untouched); it exists
-    for convergence-order tests and is not reachable from the CLI.
-    Parameters whose squares leave double range raise ValueError.
+    M0^2 is the block-diagonal part of the square, solved in closed form
+    by ``_raman_block``.  eps vanishes identically at zero two-photon
+    detuning.  Parameters whose squares leave double range raise
+    ValueError.
     """
     _raman_block(params)  # the overflow check
-    d, dd = params.delta_avg, params.delta_2ph
-    om = np.array([params.omega0, params.omega1], dtype=complex)
-    diag2 = np.array([d + dd, d - dd])
-    m0sq = np.zeros((3, 3), dtype=complex)
-    m0sq[:2, :2] = 0.25 * (np.diag(diag2**2) + np.outer(om, om.conj()))
-    m0sq[2, 2] = 0.25 * (d * d + params.omega_sq)
     # Squaring h_new puts -(delta_2ph/4) sigma3*omega in the corner block.
     sigma3_om = np.array([params.omega0, -params.omega1], dtype=complex)
     eps = np.zeros((3, 3), dtype=complex)
-    eps[:2, 2] = -(dd / 4.0) * eps_scale * sigma3_om
+    eps[:2, 2] = -(params.delta_2ph / 4.0) * sigma3_om
     eps[2, :2] = eps[:2, 2].conj()
-    return SplitSquare(m0sq=m0sq, eps=eps)
+    return eps
 
 
 def _raman_block(params: RamanParams):

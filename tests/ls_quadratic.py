@@ -90,16 +90,16 @@ def born_step(variant: Variant, u0_t: np.ndarray, prev: np.ndarray,
 
 
 def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
-            order: int, *, eps_scale: float = 1.0) -> np.ndarray:
+            order: int) -> np.ndarray:
     """Quadratic-cost counterpart of ``lippmann_schwinger.iterate``."""
     variant = Variant(variant)
     validate_grid(grid, params)
     if variant is Variant.M:
-        return 0.5 * (iterate("R", params, grid, order, eps_scale=eps_scale)
-                      + iterate("L", params, grid, order, eps_scale=eps_scale))
+        return 0.5 * (iterate("R", params, grid, order)
+                      + iterate("L", params, grid, order))
     u0_t = u0_table(variant, params, grid.times)
     kernel = kernel_table(params, grid.times)
-    eps = split_square(params, eps_scale=eps_scale).eps
+    eps = split_square(params)
     table = u0_t
     for _ in range(order):
         table = born_step(variant, u0_t, table, kernel, eps, grid.dt)

@@ -40,12 +40,11 @@ def ode_oracle(h: np.ndarray, t: float, dt_max: float) -> np.ndarray:
     return rk4(h, np.eye(3, dtype=complex), t / steps, steps)
 
 
-def ode_states_by_node(params: RamanParams, psi0: np.ndarray, grid,
-                       dt_max: float | None = None) -> np.ndarray:
+def ode_states_by_node(params: RamanParams, psi0: np.ndarray, grid) -> np.ndarray:
     """The (n+1, 3) ``ode`` states, RK4 applied to the state across one
     grid interval at a time, in the substeps ``rk4_steps`` chooses."""
     h = h_new(params)
-    substeps = rk4_steps(h, grid.dt, grid.dt if dt_max is None else dt_max)
+    substeps = rk4_steps(h, grid.dt, grid.dt)
     dt = grid.dt / substeps
     states = np.empty((grid.n + 1, 3), dtype=complex)
     states[0] = psi0

@@ -10,7 +10,7 @@ from ramanls.numerics import eig_h3, sinc_sqrt
 import ls_quadratic
 from ls_quadratic import u0
 from propagator_oracle import exact_unitary
-from spectral_oracle import mat_func_h3
+from spectral_oracle import m0sq_by_definition, mat_func_h3
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
 PSI0 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -96,11 +96,7 @@ def test_symmetric_zeroth_order_matches_closed_form():
     # cos(M0 t) - i H K (L) and cos(M0 t) - (i/2)(K H + H K) (S).
     g = TimeGrid(t_end=CYCLE, n=2 * required_intervals(FIG4, CYCLE))
     h = h_new(FIG4)
-    h_sq = h @ h
-    m0sq = np.zeros((3, 3), dtype=complex)
-    m0sq[:2, :2] = h_sq[:2, :2]
-    m0sq[2, 2] = h_sq[2, 2]
-    lam, v = np.linalg.eigh(m0sq)
+    lam, v = np.linalg.eigh(m0sq_by_definition(FIG4))
     assert lam.min() > 0.0
     mu = np.sqrt(lam)
     phase = np.outer(g.times, mu)
@@ -125,9 +121,13 @@ def test_tables_start_at_identity():
 
 
 def test_iterate_rejects_negative_order():
+    # A negative or non-integral order is a usage error, not a TypeError
+    # from deep inside the iteration.
     g = auto_grid(FIG4, 0.05)
-    with pytest.raises(ValueError, match="order"):
-        iterate("R", FIG4, g, -1)
+    for order in (-1, 1.5, 2.0, float("nan"), "2"):
+        with pytest.raises(ValueError, match="order must be an integer >= 0"):
+            iterate("R", FIG4, g, order)
+    assert np.array_equal(iterate("R", FIG4, g, np.int64(1)), iterate("R", FIG4, g, 1))
 
 
 def test_iterate_order_zero_is_u0_table():
@@ -204,7 +204,7 @@ def test_volterra_self_consistency():
     u0_t = ls_quadratic.iterate("R", FIG4, g, 0)
     rhs = ls_quadratic.born_step(Variant.R, u0_t, tab,
                                  ls_quadratic.kernel_table(FIG4, g.times),
-                                 split_square(FIG4).eps, g.dt)
+                                 split_square(FIG4), g.dt)
     assert np.abs(tab - rhs).max() <= 1e-6
 
 
@@ -271,8 +271,7 @@ def test_order_scaling_in_eps():
     for k in (0, 1):
         errs = []
         for eta in etas:
-            ss = split_square(FIG4, eps_scale=eta)
-            spec = eig_h3(ss.m0sq + ss.eps)
+            spec = eig_h3(m0sq_by_definition(FIG4) + eta * split_square(FIG4))
             tab = iterate("R", FIG4, g, k, eps_scale=eta)
             worst = 0.0
             for i in (g.n // 4, g.n // 2, g.n):
@@ -298,12 +297,12 @@ def test_laplace_transform_identity():
     # (s + iH) applied to the transform of the integral equation's right
     # side must give the identity; this pins m0sq + eps = H^2 exactly.
     h = h_new(FIG4)
-    ss = split_square(FIG4)
+    m0sq, eps = m0sq_by_definition(FIG4), split_square(FIG4)
     eye = np.eye(3)
     for s in (0.3, 1.0, 3.0):
-        res_inv = np.linalg.inv(s * s * eye + ss.m0sq)
+        res_inv = np.linalg.inv(s * s * eye + m0sq)
         full_inv = np.linalg.inv(s * eye + 1j * h)
-        rhs = s * res_inv - 1j * res_inv @ h - res_inv @ ss.eps @ full_inv
+        rhs = s * res_inv - 1j * res_inv @ h - res_inv @ eps @ full_inv
         assert np.abs((s * eye + 1j * h) @ rhs - eye).max() <= 1e-10
 
 
@@ -335,3 +334,12 @@ def test_apply_normalized_rejects_collapsed_norm():
     mats[2] *= 1e-9
     with pytest.raises(ValueError, match="broke down"):
         apply_normalized(mats, PSI0)
+    # A NaN or inf entry, on the column psi0 reads or off it, is rejected
+    # the same way instead of coming back as a NaN row, and numpy must not
+    # warn on the way.
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in ((0, 0), (0, 1), (2, 2)):
+            mats = np.stack([np.eye(3, dtype=complex)] * 6)
+            mats[(4, *entry)] = bad
+            with pytest.raises(ValueError, match=r"norm (nan|inf) at node 4\b"):
+                apply_normalized(mats, PSI0)

@@ -4,6 +4,8 @@ import pytest
 from ramanls.model import (RamanParams, h_ae, h_new, spectral_m0sq,
                            split_square)
 
+from spectral_oracle import m0sq_by_definition
+
 FIG4 = RamanParams(delta_avg=400.0, delta_2ph=-16.0,
                    omega0=200.0 + 0j, omega1=120.0 + 0j)
 
@@ -65,7 +67,7 @@ def test_picture_shift_is_half_delta():
 
 def test_split_square_zero_detuning_kills_eps():
     p = RamanParams(400.0, 0.0, 200.0, 120.0)
-    assert np.abs(split_square(p).eps).max() == 0.0
+    assert np.abs(split_square(p)).max() == 0.0
 
 
 def test_split_square_overflow_is_a_value_error():
@@ -76,39 +78,36 @@ def test_split_square_overflow_is_a_value_error():
 
 
 def test_split_square_reconstructs_h_squared():
+    # The closed-form M0^2 of spectral_m0sq plus eps gives back h_new^2.
     rng = np.random.default_rng(8)
     for _ in range(30):
         p = random_params(rng)
-        ss = split_square(p)
+        eps = split_square(p)
+        sd = spectral_m0sq(p)
+        m0sq = np.tensordot(sd.mu_sq, sd.projectors, 1)
         h2 = h_new(p) @ h_new(p)
         scale = np.abs(h2).max()
-        assert np.abs(ss.m0sq + ss.eps - h2).max() < 1e-12 * scale
-        # eps is purely off-diagonal-block, m0sq block diagonal
-        assert np.abs(ss.eps[np.diag_indices(3)]).max() == 0.0
-        assert ss.m0sq[0, 2] == 0.0 and ss.m0sq[1, 2] == 0.0
+        assert np.abs(m0sq + eps - h2).max() < 1e-12 * scale
+        # eps is purely off-diagonal-block: zero on the blocks of M0^2
+        assert np.abs(eps[:2, :2]).max() == 0.0 and eps[2, 2] == 0.0
+        assert np.abs(eps - (h2 - m0sq_by_definition(p))).max() < 1e-12 * scale
 
 
 def test_split_square_corner_entry_fig4():
     # The corner of eps is fixed by squaring the Hamiltonian itself:
     # (h_new^2)[0, 2] = -(delta_2ph/4) * omega0, i.e. 800 for these values.
-    ss = split_square(FIG4)
+    eps = split_square(FIG4)
     h2 = h_new(FIG4) @ h_new(FIG4)
-    assert ss.eps[0, 2] == h2[0, 2]
-    assert ss.eps[0, 2] == pytest.approx(800.0, abs=1e-9)
-    assert ss.eps[1, 2] == pytest.approx(-(-16.0 / 4.0) * (-120.0), abs=1e-9)
-
-
-def test_split_square_eps_scale_knob():
-    ss1 = split_square(FIG4)
-    ss2 = split_square(FIG4, eps_scale=0.5)
-    assert np.allclose(ss2.eps, 0.5 * ss1.eps)
-    assert np.allclose(ss2.m0sq, ss1.m0sq)
+    assert eps[0, 2] == h2[0, 2]
+    assert eps[0, 2] == pytest.approx(800.0, abs=1e-9)
+    assert eps[1, 2] == pytest.approx(-(-16.0 / 4.0) * (-120.0), abs=1e-9)
 
 
 def test_m0sq_excited_entry_independent_of_detuning():
     for dd in (-30.0, 0.0, 17.0):
         p = RamanParams(400.0, dd, 200.0, 120.0)
-        assert split_square(p).m0sq[2, 2] == 0.25 * (400.0**2 + 54400.0)
+        assert m0sq_by_definition(p)[2, 2] == 0.25 * (400.0**2 + 54400.0)
+        assert spectral_m0sq(p).mu_sq[2] == 0.25 * (400.0**2 + 54400.0)
 
 
 def test_spectral_fig4_eigenvalues():
@@ -153,7 +152,7 @@ def test_spectral_projector_invariants_and_reconstruction():
         recon = (sd.mu_sq[0] * sd.projectors[0]
                  + sd.mu_sq[1] * sd.projectors[1]
                  + sd.mu_sq[2] * sd.projectors[2])
-        m0sq = split_square(p).m0sq
+        m0sq = m0sq_by_definition(p)
         assert np.abs(recon - m0sq).max() < 1e-12 * np.abs(m0sq).max()
 
 
@@ -200,7 +199,7 @@ def test_spectral_gap_formula_and_resonant_value():
 def test_spectral_axis_fallback_single_drive():
     p = RamanParams(400.0, 20.0, 150.0, 0.0)
     sd = spectral_m0sq(p)
-    block = split_square(p).m0sq[:2, :2]
+    block = m0sq_by_definition(p)[:2, :2]
     recon = (sd.mu_sq[0] * sd.projectors[0][:2, :2]
              + sd.mu_sq[1] * sd.projectors[1][:2, :2])
     assert np.abs(recon - block).max() < 1e-12 * np.abs(block).max()

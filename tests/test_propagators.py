@@ -87,8 +87,9 @@ def test_ode_oracle_agrees_with_spectral_propagator():
 
 
 def test_ode_oracle_rejects_bad_step():
-    with pytest.raises(ValueError):
-        ode_oracle(h_new(FIG4), 0.1, 0.0)
+    for dt_max in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="dt_max must be positive"):
+            ode_oracle(h_new(FIG4), 0.1, dt_max)
 
 
 def test_ode_oracle_reverses_time():

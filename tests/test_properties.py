@@ -26,7 +26,7 @@ from ramanls.propagators import ae_model, state_table
 
 import ls_quadratic
 from propagator_oracle import ae_h_eff
-from spectral_oracle import mat_func_h3
+from spectral_oracle import m0sq_by_definition, mat_func_h3
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -141,7 +141,7 @@ def test_spectral_projectors_resolve_m0sq(params):
         for j in range(i):
             assert np.abs(proj[i] @ proj[j]).max() <= 1e-15, (i, j)
     assert np.abs(proj.sum(axis=0) - np.eye(3)).max() <= 1e-15
-    m0sq = split_square(params).m0sq
+    m0sq = m0sq_by_definition(params)
     recon = np.tensordot(sd.mu_sq, proj, 1)
     assert np.abs(recon - m0sq).max() <= 2e-15 * np.abs(m0sq).max()
 
@@ -173,7 +173,7 @@ def test_ls_error_falls_with_slope_k_plus_1_in_eps_scale(data):
     params = replace(params, delta_2ph=frac * abs(params.delta_avg))
     sd = spectral_m0sq(params)
     t_end = 40.0 / sd.mu_max
-    assume(np.abs(split_square(params).eps).max() * t_end <= 3.0 * np.sqrt(sd.mu_sq[1]))
+    assume(np.abs(split_square(params)).max() * t_end <= 3.0 * np.sqrt(sd.mu_sq[1]))
     grid = TimeGrid(t_end=t_end, n=2 * required_intervals(params, t_end))
     h = h_new(params)
     etas = (1.0, 0.5, 0.25)
@@ -181,8 +181,7 @@ def test_ls_error_falls_with_slope_k_plus_1_in_eps_scale(data):
         for k in (0, 1):
             errs = []
             for eta in etas:
-                ss = split_square(params, eps_scale=eta)
-                spec = eig_h3(ss.m0sq + ss.eps)
+                spec = eig_h3(m0sq_by_definition(params) + eta * split_square(params))
                 tab = iterate(variant, params, grid, k, eps_scale=eta)
                 worst = 0.0
                 for i in (grid.n // 4, grid.n // 2, grid.n):
