@@ -19,8 +19,8 @@ import numpy as np
 from .lippmann_schwinger import (TimeGrid, Variant, _u0_table, apply_normalized,
                                  iterate)
 from .model import RamanParams, _raman_block, h_ae, h_new, spectral_m0sq
-from .propagators import (ae_model, m0_effective_unitary, mode_factors, rk4,
-                          rk4_steps, state_table, step_powers)
+from .propagators import (ae_model, mode_factors, rk4, rk4_steps, state_table,
+                          step_powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +101,7 @@ def _ode(params, psi0, grid, order):
     map is the same 3x3 matrix on every interval, so node i is its i-th
     power applied to psi0, evaluated by ``step_powers``."""
     h = h_new(params)
-    substeps = rk4_steps(h, grid.dt, grid.dt)
+    substeps = rk4_steps(h, grid.dt)
     step = rk4(h, np.eye(3, dtype=complex), grid.dt / substeps, substeps)
     return step_powers(step, psi0, grid.n)
 
@@ -112,8 +112,14 @@ def _ae(params, psi0, grid, order):
 
 
 def _m0eff(params, psi0, grid, order):
+    """exp(+i sqrt(B) t) psi0, B the Raman block of M0^2, as the one beat
+    P- psi0 + exp(i Omega_R t) P+ psi0 at Omega_R = mu+ - mu- from
+    ``rabi_general``, which stays exact at weak drive.  This drops the
+    global phase exp(i mu- t), which no population reads."""
     psi01 = _require_no_excited(psi0, "m0eff")
-    return _with_empty_excited(m0_effective_unitary(params, grid.times) @ psi01)
+    p_plus, p_minus = spectral_m0sq(params).projectors[:2, :2, :2]
+    beat = np.exp(1j * rabi_general(params) * grid.times)
+    return _with_empty_excited(np.outer(beat, p_plus @ psi01) + p_minus @ psi01)
 
 
 def _delta0(params, psi0, grid, order):

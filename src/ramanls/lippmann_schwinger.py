@@ -264,9 +264,15 @@ def apply_normalized(table: np.ndarray, psi0: np.ndarray) -> np.ndarray:
 
     Returns the (n+1, 3) array of unit-norm states.  Rejects states whose
     raw norm collapses below 1e-6 or is not finite, which signals that the
-    approximation has left its domain of validity.
+    approximation has left its domain of validity, and shapes other than
+    an (m, 3, 3) table and a (3,) state.
     """
+    if np.ndim(table) != 3 or np.shape(table)[1:] != (3, 3):
+        raise ValueError(f"propagator table must have shape (m, 3, 3), "
+                         f"got {np.shape(table)}")
     psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (3,):
+        raise ValueError("initial state must have three components")
     if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # false for NaN too
         raise ValueError("initial state must have unit norm")
     with np.errstate(invalid="ignore", over="ignore"):  # rejected just below

@@ -6,8 +6,7 @@ matrix, the adiabatic-elimination effective Hamiltonian (``ae_model``
 returns the 2x2 h_eff, read off the Raman block; its Rabi frequency is
 ``analysis.rabi_ae``), the cos/sinc mode factors of the squared
 Hamiltonian's block-diagonal part (shared by the zero-detuning solution
-and the integral hierarchy), and the effective two-level propagator
-built from that block.
+and the integral hierarchy).
 
 The RK4 kernel takes a state or a matrix: ``h @ x`` is the same product
 for both.  H is time-independent, so RK4 across one grid interval is one
@@ -25,7 +24,7 @@ import math
 
 import numpy as np
 
-from .model import RamanParams, SpectralData, _raman_block, spectral_m0sq
+from .model import RamanParams, SpectralData, _raman_block
 from .numerics import eig_h3, sinc_sqrt
 
 
@@ -37,17 +36,14 @@ def state_table(h: np.ndarray, times: np.ndarray, psi0: np.ndarray) -> np.ndarra
     return (phases * coeff) @ v.T
 
 
-def rk4_steps(h: np.ndarray, span: float, dt_max: float) -> int:
-    """Number of equal RK4 steps across ``span`` for the generator h.
-
-    The step obeys dt <= dt_max and dt * rho(h) <= 0.05 with rho the
-    max-row-sum bound on the spectral radius.
-    """
-    if not dt_max > 0:
-        raise ValueError("dt_max must be positive")
+def rk4_steps(h: np.ndarray, span: float) -> int:
+    """Fewest equal RK4 steps across ``span`` for the generator h with
+    dt * rho(h) <= 0.05, rho the max-row-sum bound on the spectral radius;
+    at least one."""
     rho = float(np.abs(h).sum(axis=1).max())
-    cap = dt_max if rho == 0 else min(dt_max, 0.05 / rho)
-    return max(1, int(math.ceil(abs(span) / cap)))
+    if rho == 0:
+        return 1
+    return max(1, int(math.ceil(abs(span) / (0.05 / rho))))
 
 
 def rk4(h: np.ndarray, x: np.ndarray, dt: float, steps: int) -> np.ndarray:
@@ -100,20 +96,3 @@ def mode_factors(sd: SpectralData, times: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     mu_sq = sd.mu_sq[:, None]
     return np.cos(np.sqrt(mu_sq) * times), sinc_sqrt(mu_sq, times)
-
-
-def m0_effective_unitary(params: RamanParams, t: float | np.ndarray) -> np.ndarray:
-    """Two-level propagator generated by the upper block of the split square.
-
-    The effective Hamiltonian is minus the positive square root of the
-    upper 2x2 block of m0sq, so the propagator is exp(+i mu t) summed over
-    the two block projectors.  ``t`` may be an array of times; the result
-    then holds one 2x2 matrix per time on its leading axes.
-    """
-    sd = spectral_m0sq(params)
-    mu_plus, mu_minus = np.sqrt(sd.mu_sq[:2])
-    p_plus = sd.projectors[0][:2, :2]
-    p_minus = sd.projectors[1][:2, :2]
-    t = np.asarray(t, dtype=float)[..., None, None]
-    return (np.exp(1j * mu_plus * t) * p_plus
-            + np.exp(1j * mu_minus * t) * p_minus)

@@ -32,11 +32,14 @@ def exact_unitary(h: np.ndarray, t: float) -> np.ndarray:
 def ode_oracle(h: np.ndarray, t: float, dt_max: float) -> np.ndarray:
     """Fixed-step RK4 integration of dU/dt = -i h U from the identity.
 
-    The step follows ``rk4_steps``.  Deterministic by design; this is the
-    independent cross-check for the spectral propagators.
+    The step count is the larger of ``rk4_steps`` and the count that keeps
+    dt <= dt_max.  Deterministic by design; this is the independent
+    cross-check for the spectral propagators.
     """
+    if not dt_max > 0:
+        raise ValueError("dt_max must be positive")
     h = np.asarray(h, dtype=complex)
-    steps = rk4_steps(h, t, dt_max)
+    steps = max(rk4_steps(h, t), math.ceil(abs(t) / dt_max))
     return rk4(h, np.eye(3, dtype=complex), t / steps, steps)
 
 
@@ -44,7 +47,7 @@ def ode_states_by_node(params: RamanParams, psi0: np.ndarray, grid) -> np.ndarra
     """The (n+1, 3) ``ode`` states, RK4 applied to the state across one
     grid interval at a time, in the substeps ``rk4_steps`` chooses."""
     h = h_new(params)
-    substeps = rk4_steps(h, grid.dt, grid.dt)
+    substeps = rk4_steps(h, grid.dt)
     dt = grid.dt / substeps
     states = np.empty((grid.n + 1, 3), dtype=complex)
     states[0] = psi0

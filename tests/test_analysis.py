@@ -7,8 +7,10 @@ from ramanls.analysis import (METHODS, amplitude_p, delta_resonant_ae,
                               trace_populations)
 from ramanls.lippmann_schwinger import TimeGrid, auto_grid
 from ramanls.model import RamanParams
+from ramanls.numerics import eig_h3
 
 from propagator_oracle import ae_population_1, lightshift_balance, ode_states_by_node
+from spectral_oracle import m0sq_by_definition, mat_func_h3
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
 PSI0 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -184,13 +186,13 @@ def test_trace_ls_labels_and_norms():
 
 
 def test_trace_m0eff_matches_block_propagator():
-    from ramanls.propagators import m0_effective_unitary
-
+    # exp(+i sqrt(B) t), B the Raman block of M0^2 built from its definition.
+    spec = eig_h3(m0sq_by_definition(FIG4)[:2, :2])
     grid = TimeGrid(t_end=0.1, n=20)
     trace = trace_populations("m0eff", FIG4, PSI0, grid)
     assert np.all(trace.pe == 0.0)
     for i in (3, 11, 20):
-        u = m0_effective_unitary(FIG4, trace.times[i])
+        u = mat_func_h3(spec, lambda lam: np.exp(1j * np.sqrt(lam) * trace.times[i]))
         assert trace.p1[i] == pytest.approx(abs(u[1, 0]) ** 2, abs=1e-13)
 
 
@@ -200,6 +202,8 @@ def test_trace_rejections():
         trace_populations("magic", FIG4, PSI0, grid)
     with pytest.raises(ValueError, match="unit norm"):
         trace_populations("exact-new", FIG4, 2 * PSI0, grid)
+    with pytest.raises(ValueError, match="three components"):
+        trace_populations("exact-new", FIG4, PSI0[:2], grid)
     nan_state = np.array([np.nan, 0.0, 0.0], dtype=complex)
     for method in ("exact-new", "ls-S"):
         with pytest.raises(ValueError, match="unit norm"):

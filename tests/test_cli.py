@@ -214,6 +214,13 @@ def test_parse_config_rejections():
             (FIDELITY + ["--points", "0"], "--points must be >= 1"),
             (FIDELITY + ["--points", "-3"], "--points must be >= 1"),
             (evolve + ["--t-end", "1", "--order", "-1"], "--order must be >= 0"),
+            (evolve + ["--t-end", "1", "--order", "two"], "malformed number for --order"),
+            (evolve[:-2] + ["--t-end", "1"], "missing required --method"),
+            (evolve + ["--t-end", "1", "--method", "ae,m0eff"], "exactly one --method"),
+            (evolve, "missing required --t-end or --dt-end"),
+            (SWEEP + ["--axis", "time"], "--axis must be one of"),
+            (SWEEP[:9] + ["--points", "3"], "sweep needs --from and --to"),
+            (SWEEP + ["--points", "1"], "sweep needs --points >= 2"),
             (evolve + ["--t-end", "1", "--psi0", "nan,0,0"], "--psi0"),
             (evolve + ["--t-end", "1", "--psi0", "1,1e400,0"], "--psi0"),
             (evolve + ["--t-end", "1", "--psi0", "1,inf,0"], "--psi0 must be nonzero and finite"),

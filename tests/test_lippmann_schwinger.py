@@ -343,3 +343,9 @@ def test_apply_normalized_rejects_collapsed_norm():
             mats[(4, *entry)] = bad
             with pytest.raises(ValueError, match=r"norm (nan|inf) at node 4\b"):
                 apply_normalized(mats, PSI0)
+    # Wrong shapes: a single 3x3 matrix, a table of 2x2 blocks, a 2-state.
+    for table in (np.eye(3), np.stack([np.eye(2)] * 3)):
+        with pytest.raises(ValueError, match=r"shape \(m, 3, 3\)"):
+            apply_normalized(table, PSI0)
+    with pytest.raises(ValueError, match="three components"):
+        apply_normalized(np.stack([np.eye(3)] * 3), PSI0[:2])

@@ -72,7 +72,9 @@ def test_split_square_zero_detuning_kills_eps():
 
 def test_split_square_overflow_is_a_value_error():
     # |Omega|^2 leaves double range above 1.3e154, Delta^4 near 1e77.
-    for p in (RamanParams(400.0, 0.0, 2e154, 1.0), RamanParams(1e78, 0.0, 1.0, 1.0)):
+    # 1.7e308 and -1.7e308 are finite, but their sum of squares is not.
+    for p in (RamanParams(400.0, 0.0, 2e154, 1.0), RamanParams(1e78, 0.0, 1.0, 1.0),
+              RamanParams(1.7e308, -1.7e308, 1, 1)):
         with pytest.raises(ValueError, match="overflow double precision"):
             split_square(p)
 

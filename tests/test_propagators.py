@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ramanls.lippmann_schwinger import TimeGrid
 from ramanls.model import RamanParams, h_ae, h_new
-from ramanls.propagators import (ae_model, m0_effective_unitary, rk4, state_table,
-                                 step_powers)
-from ramanls.analysis import amplitude_p, rabi_ae, rabi_exact_delta0, rabi_general
+from ramanls.propagators import ae_model, rk4, rk4_steps, state_table, step_powers
+from ramanls.analysis import (METHODS, amplitude_p, rabi_ae, rabi_exact_delta0,
+                              rabi_general, trace_populations)
 
 from propagator_oracle import (ae_population_1, exact_delta0, exact_unitary,
                                excited_pop_delta0, ode_oracle)
@@ -87,9 +88,23 @@ def test_ode_oracle_agrees_with_spectral_propagator():
 
 
 def test_ode_oracle_rejects_bad_step():
+    # The dt_max cap and its check belong to the oracle, not to rk4_steps.
     for dt_max in (-1.0, 0.0, float("nan")):
         with pytest.raises(ValueError, match="dt_max must be positive"):
             ode_oracle(h_new(FIG4), 0.1, dt_max)
+
+
+def test_rk4_steps_count():
+    assert rk4_steps(np.zeros((3, 3)), 1.3) == 1
+    assert rk4_steps(h_new(FIG4), 0.0) == 1
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        h = h_new(random_params(rng))
+        rho = float(np.abs(h).sum(axis=1).max())
+        span = rng.uniform(1e-4, 0.5)
+        steps = rk4_steps(h, span)
+        assert rk4_steps(h, -span) == steps
+        assert steps * 0.05 >= span * rho > (steps - 1) * 0.05
 
 
 def test_ode_oracle_reverses_time():
@@ -226,23 +241,33 @@ def test_excited_population_closed_form():
 
 
 def test_m0_effective_unitary_basics():
-    assert np.allclose(m0_effective_unitary(FIG4, 0.0), np.eye(2))
+    # The m0eff states from |0> and |1> start there and stay orthonormal.
     rng = np.random.default_rng(31)
-    for _ in range(10):
-        p = random_params(rng)
-        t = rng.uniform(0.0, 0.5)
-        u = m0_effective_unitary(p, t)
-        assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12
+    for p in [FIG4] + [random_params(rng) for _ in range(10)]:
+        grid = TimeGrid(t_end=rng.uniform(0.01, 0.5), n=10)
+        cols = [METHODS["m0eff"](p, psi, grid, 0) for psi in np.eye(3)[:2]]
+        u = np.stack(cols, axis=2)[:, :2]
+        assert np.abs(u[0] - np.eye(2)).max() <= 1e-12
+        gram = np.einsum("tai,taj->tij", u.conj(), u)
+        assert np.abs(gram - np.eye(2)).max() <= 1e-12
 
 
 def test_m0_effective_transfer_oscillates_at_general_rabi():
     p = FIG4
     omega_r = rabi_general(p)
     amp = amplitude_p(p)
-    for t in (0.01, 0.06, 0.13):
-        transfer = abs(m0_effective_unitary(p, t)[1, 0]) ** 2
-        assert transfer == pytest.approx(amp * math.sin(0.5 * omega_r * t) ** 2,
-                                         abs=1e-12)
+    trace = trace_populations("m0eff", p, PSI0, TimeGrid(t_end=0.13, n=26))
+    assert np.abs(trace.p1 - amp * np.sin(0.5 * omega_r * trace.times) ** 2).max() <= 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1e-5, 1e-6, 1e-7])
+def test_m0_effective_transfer_peak_exact_at_weak_drive(ratio):
+    # The peak at Omega_R t = pi must not lose the beat to the two fast
+    # phases mu+ t and mu- t, which at weak drive are ~ 1e10 rad apiece.
+    p = RamanParams(400.0, 0.0, 400.0 * ratio, 0.6 * 400.0 * ratio)
+    grid = TimeGrid(t_end=np.pi / rabi_general(p), n=2)
+    trace = trace_populations("m0eff", p, PSI0, grid)
+    assert trace.p1[-1] == pytest.approx(amplitude_p(p), abs=1e-12)
 
 
 def test_m0_effective_envelope_bounds_exact_transfer():
