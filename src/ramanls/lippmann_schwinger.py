@@ -138,7 +138,8 @@ def _u0_table(variant: Variant, proj: np.ndarray, h: np.ndarray,
 # returns the (n+1, 3, 3) node-major view of it, one 3x3 matrix per node.
 # np.matmul on an (n+1, 3, 3) stack multiplies the 3x3 blocks one at a
 # time, and a BLAS product over the flattened table may start threads;
-# _u0_table and _left avoid both.
+# _u0_table and _born_integral contract with np.einsum, which without
+# ``optimize`` runs its own loop over the rows and calls no BLAS.
 
 
 def _simpson_prefix(b: np.ndarray, dt: float, out: np.ndarray) -> None:
@@ -190,14 +191,6 @@ def _mode_basis(proj: np.ndarray) -> np.ndarray:
     return np.stack([c / np.linalg.norm(c) for c in cols], axis=1)
 
 
-def _left(a: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """a @ table on every node of a (3, 3, n+1) table."""
-    out = a[:, 0, None, None] * table[0]
-    out += a[:, 1, None, None] * table[1]
-    out += a[:, 2, None, None] * table[2]
-    return out
-
-
 def _born_integral(table: np.ndarray, eps: np.ndarray, dt: float,
                    cos_t: np.ndarray, sinc_t: np.ndarray,
                    basis: np.ndarray, mirrored: bool = False) -> np.ndarray:
@@ -208,11 +201,11 @@ def _born_integral(table: np.ndarray, eps: np.ndarray, dt: float,
     S_m(t) Q[C_m h] - C_m(t) Q[S_m h].  ``cos_t`` and ``sinc_t`` hold C_m
     and S_m as (3, n+1) rows; ``mirrored`` takes the L form's node weights.
     """
-    h = _left(basis.conj().T @ eps, table)
+    h = np.einsum("ab,bct->act", basis.conj().T @ eps, table)
     c, s = cos_t[:, None], sinc_t[:, None]
     x = s * _prefix_integrals(c * h, dt, mirrored)
     x -= c * _prefix_integrals(s * h, dt, mirrored)
-    return _left(basis, x)
+    return np.einsum("ab,bct->act", basis, x)
 
 
 def _l_form(table, eps, dt, cos_t, sinc_t, basis) -> np.ndarray:
@@ -227,13 +220,11 @@ _SIDES = {Variant.R: (_born_integral,), Variant.L: (_l_form,),
 
 
 def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
-            order: int, *, eps_scale: float = 1.0) -> np.ndarray:
+            order: int) -> np.ndarray:
     """Born iteration of the chosen integral equation up to the given order.
 
     Returns the propagator on every grid node as an (n+1, 3, 3) array, a
-    view of the time-last table.  ``eps_scale`` multiplies the
-    off-diagonal remainder only; it is the knob used by the
-    convergence-order tests.
+    view of the time-last table.
     """
     variant = Variant(variant)
     if not isinstance(order, numbers.Integral) or order < 0:
@@ -242,8 +233,7 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
     modes = mode_factors(sd, grid.times)
     h = h_new(params)
     if order:
-        step = (eps_scale * split_square(params), grid.dt,
-                *modes, _mode_basis(sd.projectors))
+        step = (split_square(params), grid.dt, *modes, _mode_basis(sd.projectors))
 
     # M is the mean of the R and L tables, both built on the one solve sd.
     tables = []

@@ -116,7 +116,8 @@ def _raman_block(params: RamanParams):
     mu_minus_sq = det/mu_plus_sq with det a sum of squares, so neither
     cancels at weak drive and mu_minus_sq is never negative.  det grows
     as delta_avg^4: parameters whose squares or det leave double range
-    raise ValueError.
+    raise ValueError, and so do parameters whose squares all underflow to
+    zero, where mu_plus_sq = 0 leaves mu_minus_sq undefined.
     """
     d, dd = params.delta_avg, params.delta_2ph
     try:
@@ -128,12 +129,14 @@ def _raman_block(params: RamanParams):
                + (d - dd) ** 2 * abs(params.omega0) ** 2)
         if not math.isfinite(mu_plus_sq + det):  # |a|, |b| <= r <= mu_plus_sq
             raise OverflowError
-    except OverflowError:
+        mu_minus_sq = det / (16.0 * mu_plus_sq)
+    except (OverflowError, ZeroDivisionError) as exc:
+        kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
         raise ValueError(
-            f"parameters overflow double precision: delta_avg = {d:g}, "
+            f"parameters {kind} double precision: delta_avg = {d:g}, "
             f"delta = {dd:g}, |omega0| = {abs(params.omega0):g}, "
             f"|omega1| = {abs(params.omega1):g}") from None
-    return a, b, r, mu_plus_sq, det / (16.0 * mu_plus_sq)
+    return a, b, r, mu_plus_sq, mu_minus_sq
 
 
 def spectral_m0sq(params: RamanParams) -> SpectralData:

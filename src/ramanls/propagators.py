@@ -1,18 +1,17 @@
 """Propagators for the driven three-level system.
 
-Exact state evolution by eigendecomposition, the fixed-step RK4 kernel
-behind the ``ode`` method and the powers of its one-interval step
-matrix, the adiabatic-elimination effective Hamiltonian (``ae_model``
-returns the 2x2 h_eff, read off the Raman block; its Rabi frequency is
+Exact state evolution by eigendecomposition, the RK4 step count behind
+the ``ode`` method and the powers of its one-interval step matrix, the
+adiabatic-elimination effective Hamiltonian (``ae_model`` returns the
+2x2 h_eff, read off the Raman block; its Rabi frequency is
 ``analysis.rabi_ae``), the cos/sinc mode factors of the squared
 Hamiltonian's block-diagonal part (shared by the zero-detuning solution
 and the integral hierarchy).
 
-The RK4 kernel takes a state or a matrix: ``h @ x`` is the same product
-for both.  H is time-independent, so RK4 across one grid interval is one
-fixed 3x3 matrix, ``rk4`` applied to the identity, and node i of an
-``ode`` trace is its i-th power applied to the initial state;
-``step_powers`` evaluates every node in O(sqrt(n)) Python iterations.
+H is time-independent, so RK4 across one grid interval is one fixed 3x3
+matrix, and node i of an ``ode`` trace is its i-th power applied to the
+initial state; ``step_powers`` evaluates every node in O(sqrt(n)) Python
+iterations.
 Every sin(M t)/M factor is evaluated as the even scalar function
 sin(sqrt(lam) t)/sqrt(lam) of the squared operator, so no square-root
 sign ever has to be chosen.
@@ -44,17 +43,6 @@ def rk4_steps(h: np.ndarray, span: float) -> int:
     if rho == 0:
         return 1
     return max(1, int(math.ceil(abs(span) / (0.05 / rho))))
-
-
-def rk4(h: np.ndarray, x: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    """``steps`` classical RK4 steps of dx/dt = -i h x; x a state or a matrix."""
-    for _ in range(steps):
-        k1 = -1j * (h @ x)
-        k2 = -1j * (h @ (x + 0.5 * dt * k1))
-        k3 = -1j * (h @ (x + 0.5 * dt * k2))
-        k4 = -1j * (h @ (x + dt * k3))
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
 
 
 def step_powers(step: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:

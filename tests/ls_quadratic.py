@@ -3,20 +3,21 @@
 Every node's convolution is a direct weighted sum over all earlier nodes,
 with the kernel table K(t) = sum_m S_m(t) P_m built in full.  It costs
 O(k n^2) time and is kept only as the oracle the separable
-``lippmann_schwinger.iterate`` is checked against.  Its zeroth order is
-built here as (n+1, 3, 3) projector sums with the Hamiltonian multiplied
-on the stated side, independently of the package's zeroth-order table.
-``u0`` reads the zeroth-order propagator at a single time off the
-package's own tables.
+``lippmann_schwinger.iterate`` is checked against.  M0^2 is the
+block-diagonal part of h_new^2 and eps = h_new^2 - M0^2 the rest; the
+kernel and the zeroth order are (n+1, 3, 3) sums over numpy's
+eigendecomposition of M0^2, with the Hamiltonian multiplied on the stated
+side.  No package spectral code enters.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ramanls.lippmann_schwinger import TimeGrid, Variant, _u0_table, validate_grid
-from ramanls.model import RamanParams, h_new, spectral_m0sq, split_square
-from ramanls.propagators import mode_factors
+from ramanls.lippmann_schwinger import TimeGrid, Variant, validate_grid
+from ramanls.model import RamanParams, h_new
+
+from spectral_oracle import m0sq_by_definition
 
 
 def prefix_weights(i: int, dt: float) -> np.ndarray:
@@ -46,10 +47,11 @@ def prefix_weights(i: int, dt: float) -> np.ndarray:
 
 def _projector_sums(params: RamanParams, times: np.ndarray):
     """cos(M0 t) and K(t) = sin(M0 t)/M0 as (n+1, 3, 3) tables."""
-    sd = spectral_m0sq(params)
-    cos_rows, sinc_rows = mode_factors(sd, times)
-    return (np.einsum("it,iab->tab", cos_rows, sd.projectors),
-            np.einsum("it,iab->tab", sinc_rows, sd.projectors))
+    lam, v = np.linalg.eigh(m0sq_by_definition(params))
+    phase = np.outer(times, np.sqrt(np.maximum(lam, 0.0)))
+    sinc = times[:, None] * np.sinc(phase / np.pi)  # sin(mu t)/mu, also at mu = 0
+    return (np.einsum("tm,am,bm->tab", np.cos(phase), v, v.conj()),
+            np.einsum("tm,am,bm->tab", sinc, v, v.conj()))
 
 
 def kernel_table(params: RamanParams, times: np.ndarray) -> np.ndarray:
@@ -99,15 +101,10 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
                       + iterate("L", params, grid, order))
     u0_t = u0_table(variant, params, grid.times)
     kernel = kernel_table(params, grid.times)
-    eps = split_square(params)
+    h = h_new(params)
+    eps = h @ h - m0sq_by_definition(params)
     table = u0_t
     for _ in range(order):
         table = born_step(variant, u0_t, table, kernel, eps, grid.dt)
     return table
 
-
-def u0(variant: Variant | str, params: RamanParams, t: float) -> np.ndarray:
-    """Zeroth-order propagator of the chosen variant at a single time."""
-    sd = spectral_m0sq(params)
-    return _u0_table(Variant(variant), sd.projectors, h_new(params),
-                     *mode_factors(sd, np.array([float(t)])))[..., 0]

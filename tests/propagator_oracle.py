@@ -1,13 +1,15 @@
 """Reference propagators and closed-form populations for the tests.
 
-The exact 3x3 propagator by eigendecomposition, an RK4 integration of the
-propagator from the identity, the ``ode`` states stepped node by node
-with RK4 on the state, the adiabatic-elimination effective
-Hamiltonian entry by entry and its closed-form population, the
-zero-detuning propagator and excited population in closed form, and the
-Newton solution of the self-consistent light-shift balance.  No
-package path calls them; they are kept only as the references the
-package's methods are checked against.
+The exact 3x3 propagator by numpy's Hermitian eigensolver, a four-stage
+RK4 loop kept here (an integration of the propagator from the identity,
+and the ``ode`` states stepped node by node on the state), the
+adiabatic-elimination effective Hamiltonian entry by entry and its
+closed-form population, the zero-detuning excited population in closed
+form, and the Newton solution of the self-consistent light-shift
+balance.  They are written from the definitions alone: none reads the
+package's spectral data, Rabi frequencies or RK4 map.  No package path
+calls them; they are kept only as the references the package's methods
+are checked against.
 """
 
 from __future__ import annotations
@@ -16,43 +18,51 @@ import math
 
 import numpy as np
 
-from ramanls.analysis import delta_resonant_lightshift, rabi_ae
-from ramanls.model import RamanParams, h_new, spectral_m0sq
-from ramanls.numerics import eig_h3
-from ramanls.propagators import mode_factors, rk4, rk4_steps
+from ramanls.model import RamanParams, h_new
 
 
 def exact_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """Evolution operator exp(-i h t) of a Hermitian 3x3 Hamiltonian."""
-    lam, v = eig_h3(h)
+    lam, v = np.linalg.eigh(h)
     phases = np.exp(-1j * lam * t)
     return (v * phases) @ v.conj().T
 
 
-def ode_oracle(h: np.ndarray, t: float, dt_max: float) -> np.ndarray:
-    """Fixed-step RK4 integration of dU/dt = -i h U from the identity.
+def _rk4(h: np.ndarray, x: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """``steps`` classical four-stage RK4 steps of dx/dt = -i h x; x a
+    state or a matrix."""
+    for _ in range(steps):
+        k1 = -1j * (h @ x)
+        k2 = -1j * (h @ (x + 0.5 * dt * k1))
+        k3 = -1j * (h @ (x + 0.5 * dt * k2))
+        k4 = -1j * (h @ (x + dt * k3))
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
 
-    The step count is the larger of ``rk4_steps`` and the count that keeps
-    dt <= dt_max.  Deterministic by design; this is the independent
-    cross-check for the spectral propagators.
+
+def ode_oracle(h: np.ndarray, t: float, dt_max: float) -> np.ndarray:
+    """Fixed-step RK4 integration of dU/dt = -i h U from the identity, in
+    the fewest equal steps no longer than ``dt_max`` (at least one).
+
+    Deterministic by design; this is the independent cross-check for the
+    spectral propagators.
     """
     if not dt_max > 0:
         raise ValueError("dt_max must be positive")
-    h = np.asarray(h, dtype=complex)
-    steps = max(rk4_steps(h, t), math.ceil(abs(t) / dt_max))
-    return rk4(h, np.eye(3, dtype=complex), t / steps, steps)
+    steps = max(1, math.ceil(abs(t) / dt_max))
+    return _rk4(np.asarray(h, dtype=complex), np.eye(3, dtype=complex), t / steps, steps)
 
 
-def ode_states_by_node(params: RamanParams, psi0: np.ndarray, grid) -> np.ndarray:
+def ode_states_by_node(params: RamanParams, psi0: np.ndarray, grid,
+                       substeps: int) -> np.ndarray:
     """The (n+1, 3) ``ode`` states, RK4 applied to the state across one
-    grid interval at a time, in the substeps ``rk4_steps`` chooses."""
+    grid interval at a time, in ``substeps`` equal steps per interval."""
     h = h_new(params)
-    substeps = rk4_steps(h, grid.dt)
     dt = grid.dt / substeps
     states = np.empty((grid.n + 1, 3), dtype=complex)
     states[0] = psi0
     for i in range(grid.n):
-        states[i + 1] = rk4(h, states[i], dt, substeps)
+        states[i + 1] = _rk4(h, states[i], dt, substeps)
     return states
 
 
@@ -79,28 +89,13 @@ def ae_population_1(params: RamanParams, t: float) -> float:
     Returns the omega_r -> 0 limit (no oscillation, zero transfer) in the
     degenerate case.
     """
-    omega_r = rabi_ae(params)
+    lam = np.linalg.eigvalsh(ae_h_eff(params))
+    omega_r = lam[1] - lam[0]
     if omega_r == 0.0:
         return 0.0
     amp = (abs(params.omega0) * abs(params.omega1))**2 / (
         8.0 * params.delta_avg**2 * omega_r**2)
     return amp * (1.0 - math.cos(omega_r * t))
-
-
-def exact_delta0(params: RamanParams, t: float) -> np.ndarray:
-    """Exact propagator at zero two-photon detuning, from 2x2 spectral data.
-
-    Built as cos(M0 t) - i [sin(M0 t)/M0] H with both trigonometric factors
-    evaluated as functions of M0^2; equals exact_unitary(h_new, t) because
-    H commutes with M0^2 when the two-photon detuning vanishes.
-    """
-    if params.delta_2ph != 0.0:
-        raise ValueError("exact_delta0 requires zero two-photon detuning")
-    sd = spectral_m0sq(params)
-    cos_rows, sinc_rows = mode_factors(sd, np.array([t], dtype=float))
-    cos_m = np.tensordot(cos_rows[:, 0], sd.projectors, 1)
-    sinc_m = np.tensordot(sinc_rows[:, 0], sd.projectors, 1)
-    return cos_m - 1j * sinc_m @ h_new(params)
 
 
 def excited_pop_delta0(params: RamanParams, t: float) -> float:
@@ -114,11 +109,11 @@ def excited_pop_delta0(params: RamanParams, t: float) -> float:
 def lightshift_balance(params: RamanParams) -> float:
     """Newton solution of the self-consistent light-shift balance
     delta = |omega1|^2/(4 Delta + 2 delta) - |omega0|^2/(4 Delta - 2 delta),
-    seeded at its linearised closed form ``delta_resonant_lightshift``."""
+    started at delta = 0."""
     d = params.delta_avg
     o0_sq = abs(params.omega0) ** 2
     o1_sq = abs(params.omega1) ** 2
-    x = delta_resonant_lightshift(params)
+    x = 0.0
     for _ in range(50):
         den_p = 4.0 * d + 2.0 * x
         den_m = 4.0 * d - 2.0 * x

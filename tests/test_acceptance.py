@@ -21,11 +21,12 @@ from ramanls.analysis import (amplitude_p, delta_resonant_ae,
 from ramanls.lippmann_schwinger import (TimeGrid, apply_normalized,
                                         auto_grid, iterate, required_intervals)
 from ramanls.model import RamanParams, h_ae, h_new, split_square
-from ramanls.numerics import eig_h3, sinc_sqrt
+from ramanls.numerics import eig_h3
 from ramanls.propagators import state_table
 
-from propagator_oracle import exact_delta0, exact_unitary
-from spectral_oracle import m0sq_by_definition, mat_func_h3
+from package_probes import delta0_unitaries, eps_scaling_slopes
+from propagator_oracle import exact_unitary
+from spectral_oracle import m0sq_by_definition
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
 FIG3 = (
@@ -81,11 +82,11 @@ def test_c02_resonant_detuning():
 
 def test_c03_delta0_oracle_equivalence():
     worst = 0.0
+    grid = TimeGrid(t_end=100.0 / 400.0, n=400)
     for p in FIG3:
         h = h_new(p)
-        for dt_dimless in np.linspace(0.0, 100.0, 401):
-            t = dt_dimless / 400.0
-            worst = max(worst, opnorm_inf(exact_delta0(p, t) - exact_unitary(h, t)))
+        for t, u in zip(grid.times, delta0_unitaries(p, grid)):
+            worst = max(worst, opnorm_inf(u - exact_unitary(h, t)))
     report(3, worst <= 1e-10,
            "spectral delta=0 propagator equals eigendecomposition to 1e-10",
            f"max deviation {worst:.3e}")
@@ -181,23 +182,8 @@ def test_c09_symmetric_zeroth_order(cycle_grid, exact_cycle):
 
 def test_c10_order_scaling_in_eps():
     grid = TimeGrid(t_end=45.0 / 400.0, n=2 * required_intervals(FIG4, 45.0 / 400.0))
-    h = h_new(FIG4)
-    etas = (1.0, 0.5, 0.25)
     nodes = (grid.n // 4, grid.n // 2, 3 * grid.n // 4, grid.n)
-    slopes = []
-    for k in (0, 1):
-        errs = []
-        for eta in etas:
-            spec = eig_h3(m0sq_by_definition(FIG4) + eta * split_square(FIG4))
-            tab = iterate("R", FIG4, grid, k, eps_scale=eta)
-            worst = 0.0
-            for i in nodes:
-                t = grid.times[i]
-                ref = (mat_func_h3(spec, lambda lam: math.cos(math.sqrt(max(lam, 0.0)) * t))
-                       - 1j * mat_func_h3(spec, lambda lam: sinc_sqrt(lam, t)) @ h)
-                worst = max(worst, float(np.abs(tab[i] - ref).max()))
-            errs.append(worst)
-        slopes.append(float(np.polyfit(np.log(etas), np.log(errs), 1)[0]))
+    slopes = eps_scaling_slopes("R", FIG4, grid, (0, 1), nodes)
     ok = all(abs(slopes[k] - (k + 1)) <= 0.3 for k in (0, 1))
     report(10, ok, "error exponent in the remainder scale is k+1 (+-0.3)",
            f"slopes {slopes[0]:.3f}, {slopes[1]:.3f}")

@@ -6,8 +6,9 @@ from ramanls.analysis import (METHODS, amplitude_p, delta_resonant_ae,
                               rabi_exact_delta0, rabi_general,
                               trace_populations)
 from ramanls.lippmann_schwinger import TimeGrid, auto_grid
-from ramanls.model import RamanParams
+from ramanls.model import RamanParams, h_new
 from ramanls.numerics import eig_h3
+from ramanls.propagators import rk4_steps
 
 from propagator_oracle import ae_population_1, lightshift_balance, ode_states_by_node
 from spectral_oracle import m0sq_by_definition, mat_func_h3
@@ -161,7 +162,8 @@ def test_trace_ode_matches_exact():
 def test_trace_ode_matches_node_by_node_rk4(n, t_end):
     grid = TimeGrid(t_end=t_end, n=n)
     trace = trace_populations("ode", FIG4, PSI0, grid)
-    ref = np.abs(ode_states_by_node(FIG4, PSI0, grid)) ** 2
+    substeps = rk4_steps(h_new(FIG4), grid.dt)
+    ref = np.abs(ode_states_by_node(FIG4, PSI0, grid, substeps)) ** 2
     for got, want in zip((trace.p0, trace.p1, trace.pe), ref.T):
         assert np.abs(got - want).max() <= 1e-12
 

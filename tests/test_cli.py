@@ -510,6 +510,16 @@ def test_numerical_failure_removes_partial_output(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("numerical failure in scenario evolve: parameters "
                               "overflow double precision: delta_avg = "), err
+    # Every square of these parameters underflows: the same error, not
+    # "float division by zero".
+    code = cli.main(["evolve", "--delta-avg", "1e-200", "--omega0", "0", "--omega1", "0",
+                     "--dt-end", "1", "--points", "4", "--method", "exact-new",
+                     "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in scenario evolve: parameters "
+                          "underflow double precision: delta_avg = 1e-200"), err
     # ... and in the resonant detunings the fidelity study starts from.
     for delta_avg, omega0 in (("1e200", "120"), ("400", "1e200")):
         code = cli.main(["fidelity", "--delta-avg", delta_avg, "--omega0", omega0,

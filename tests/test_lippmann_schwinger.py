@@ -5,12 +5,11 @@ from ramanls.lippmann_schwinger import (GRID_PHASE_LIMIT, TimeGrid, Variant,
                                         apply_normalized, auto_grid, iterate,
                                         required_intervals, validate_grid)
 from ramanls.model import RamanParams, h_new, spectral_m0sq, split_square
-from ramanls.numerics import eig_h3, sinc_sqrt
+from ramanls.numerics import eig_h3
 
 import ls_quadratic
-from ls_quadratic import u0
 from propagator_oracle import exact_unitary
-from spectral_oracle import m0sq_by_definition, mat_func_h3
+from spectral_oracle import m0sq_by_definition
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
 PSI0 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -70,23 +69,23 @@ def test_iterate_rejects_coarse_grid_naming_required_n():
 
 
 def test_u0_identity_at_zero():
+    g = auto_grid(FIG4, 0.05)
     for variant in ("R", "L", "S", "M"):
-        assert np.abs(u0(variant, FIG4, 0.0) - np.eye(3)).max() < 1e-15
+        assert np.abs(iterate(variant, FIG4, g, 0)[0] - np.eye(3)).max() < 1e-15
 
 
 def test_u0_variants_coincide_at_zero_detuning():
     p = RamanParams(400.0, 0.0, 100.0, 100.0)
-    for t in (0.01, 0.08, 0.2):
-        ref = exact_unitary(h_new(p), t)
-        for variant in ("R", "L", "S"):
-            assert np.abs(u0(variant, p, t) - ref).max() < 1e-12
+    g = auto_grid(p, 0.2)
+    for variant in ("R", "L", "S"):
+        for t, u in zip(g.times, iterate(variant, p, g, 0)):
+            assert np.abs(u - exact_unitary(h_new(p), t)).max() < 1e-12
 
 
 def test_u0_symmetric_is_mean_of_sides():
-    for dt_dimless in (1.0, 10.0, 45.0):
-        t = dt_dimless / 400.0
-        mean = 0.5 * (u0("R", FIG4, t) + u0("L", FIG4, t))
-        assert np.abs(u0("S", FIG4, t) - mean).max() <= 1e-15
+    g = auto_grid(FIG4, 45.0 / 400.0)
+    mean = 0.5 * (iterate("R", FIG4, g, 0) + iterate("L", FIG4, g, 0))
+    assert np.abs(iterate("S", FIG4, g, 0) - mean).max() <= 1e-15
 
 
 def test_symmetric_zeroth_order_matches_closed_form():
@@ -133,8 +132,9 @@ def test_iterate_rejects_negative_order():
 def test_iterate_order_zero_is_u0_table():
     g = auto_grid(FIG4, 45.0 / 400.0)
     tab = iterate("R", FIG4, g, 0)
+    ref = ls_quadratic.u0_table(Variant.R, FIG4, g.times)
     for i in (0, g.n // 2, g.n):
-        assert np.abs(tab[i] - u0("R", FIG4, g.times[i])).max() < 1e-14
+        assert np.abs(tab[i] - ref[i]).max() < 1e-14
 
 
 def test_iterate_zero_detuning_corrections_vanish():
@@ -258,30 +258,6 @@ def test_one_photon_resonance_small_mu(params):
                 slow = ls_quadratic.iterate(variant, params, g, order)
                 assert np.all(np.isfinite(fast))
                 assert np.abs(fast - slow).max() <= 1e-12, (g.n, variant, order)
-
-
-def test_order_scaling_in_eps():
-    # Error of U_k against the exact resummation for scaled eps follows
-    # eta^(k+1); the resummed reference is cos(G t) - i sinc(G^2) H with
-    # G^2 = m0sq + eta * eps.
-    t_end = 45.0 / 400.0
-    g = TimeGrid(t_end=t_end, n=2 * required_intervals(FIG4, t_end))
-    h = h_new(FIG4)
-    etas = (1.0, 0.5, 0.25)
-    for k in (0, 1):
-        errs = []
-        for eta in etas:
-            spec = eig_h3(m0sq_by_definition(FIG4) + eta * split_square(FIG4))
-            tab = iterate("R", FIG4, g, k, eps_scale=eta)
-            worst = 0.0
-            for i in (g.n // 4, g.n // 2, g.n):
-                t = g.times[i]
-                ref = (mat_func_h3(spec, lambda lam: np.cos(np.sqrt(max(lam, 0.0)) * t))
-                       - 1j * mat_func_h3(spec, lambda lam: sinc_sqrt(lam, t)) @ h)
-                worst = max(worst, float(np.abs(tab[i] - ref).max()))
-            errs.append(worst)
-        slope = np.polyfit(np.log(etas), np.log(errs), 1)[0]
-        assert abs(slope - (k + 1)) <= 0.3
 
 
 def test_unitarity_deviation_shrinks_with_order():

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from ramanls.analysis import (amplitude_p, delta_resonant_ae,
+                              delta_resonant_lightshift, rabi_ae, rabi_general)
+from ramanls.lippmann_schwinger import required_intervals
 from ramanls.model import (RamanParams, h_ae, h_new, spectral_m0sq,
                            split_square)
+from ramanls.propagators import ae_model
 
 from spectral_oracle import m0sq_by_definition
 
@@ -77,6 +81,23 @@ def test_split_square_overflow_is_a_value_error():
               RamanParams(1.7e308, -1.7e308, 1, 1)):
         with pytest.raises(ValueError, match="overflow double precision"):
             split_square(p)
+
+
+def test_underflow_is_a_value_error():
+    # Every square of these parameters underflows to zero, so mu_+^2 = 0
+    # and mu_-^2 = det/mu_+^2 is undefined: every reader of the Raman
+    # block names the parameters instead of dividing by zero.
+    readers = (split_square, spectral_m0sq, ae_model, rabi_ae, rabi_general,
+               amplitude_p, delta_resonant_ae, delta_resonant_lightshift,
+               lambda p: required_intervals(p, 1.0))
+    for p in (RamanParams(1e-200, 0.0, 0.0, 0.0),
+              RamanParams(1e-200, 1e-200, 1e-200, 0.0)):
+        for reader in readers:
+            with pytest.raises(ValueError, match="underflow double precision: "
+                                                 "delta_avg = 1e-200, delta = "):
+                reader(p)
+    # Subnormal but nonzero squares still solve.
+    assert spectral_m0sq(RamanParams(1e-160, 0.0, 0.0, 0.0)).mu_sq[0] > 0.0
 
 
 def test_split_square_reconstructs_h_squared():

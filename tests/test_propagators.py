@@ -5,12 +5,13 @@ import pytest
 
 from ramanls.lippmann_schwinger import TimeGrid
 from ramanls.model import RamanParams, h_ae, h_new
-from ramanls.propagators import ae_model, rk4, rk4_steps, state_table, step_powers
+from ramanls.propagators import ae_model, rk4_steps, state_table, step_powers
 from ramanls.analysis import (METHODS, amplitude_p, rabi_ae, rabi_exact_delta0,
                               rabi_general, trace_populations)
 
-from propagator_oracle import (ae_population_1, exact_delta0, exact_unitary,
-                               excited_pop_delta0, ode_oracle)
+from package_probes import delta0_unitaries
+from propagator_oracle import (ae_population_1, exact_unitary, excited_pop_delta0,
+                               ode_oracle)
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
 FIG3 = {
@@ -88,7 +89,6 @@ def test_ode_oracle_agrees_with_spectral_propagator():
 
 
 def test_ode_oracle_rejects_bad_step():
-    # The dt_max cap and its check belong to the oracle, not to rk4_steps.
     for dt_max in (-1.0, 0.0, float("nan")):
         with pytest.raises(ValueError, match="dt_max must be positive"):
             ode_oracle(h_new(FIG4), 0.1, dt_max)
@@ -117,7 +117,7 @@ def test_ode_oracle_reverses_time():
 @pytest.mark.parametrize("n", [1, 2, 48, 64])
 def test_step_powers_match_matrix_powers(n):
     # n + 1 = 49 is a perfect square, 65 one past one
-    step = rk4(h_new(FIG4), np.eye(3, dtype=complex), 1e-4, 1)
+    step = ode_oracle(h_new(FIG4), 1e-4, 1e-4)  # one RK4 step
     x0 = np.array([0.6, 0.8j, 0.0], dtype=complex)
     states = step_powers(step, x0, n)
     assert states.shape == (n + 1, 3)
@@ -194,26 +194,27 @@ def test_ae_population_degenerate_limit():
 
 
 def test_exact_delta0_matches_eigendecomposition():
+    grid = TimeGrid(t_end=100.0 / 400.0, n=50)
     for p in FIG3.values():
         h = h_new(p)
-        for dt_dimless in np.linspace(0.0, 100.0, 51):
-            t = dt_dimless / 400.0
-            diff = np.abs(exact_delta0(p, t) - exact_unitary(h, t)).max()
-            assert diff <= 1e-10
+        for t, u in zip(grid.times, delta0_unitaries(p, grid)):
+            assert np.abs(u - exact_unitary(h, t)).max() <= 1e-10
 
 
 def test_exact_delta0_identity_and_rejection():
-    assert np.allclose(exact_delta0(FIG3["a"], 0.0), np.eye(3))
+    grid = TimeGrid(t_end=0.1, n=2)
+    assert np.allclose(delta0_unitaries(FIG3["a"], grid)[0], np.eye(3))
     with pytest.raises(ValueError, match="two-photon"):
-        exact_delta0(FIG4, 0.1)
+        delta0_unitaries(FIG4, grid)
 
 
 def test_exact_delta0_dark_state():
     p = RamanParams(400.0, 0.0, 100.0 * np.exp(0.4j), 60.0)
     dark = np.array([-np.conj(p.omega1), np.conj(p.omega0), 0.0])
     dark /= np.linalg.norm(dark)
-    for t in (0.01, 0.1, 0.37):
-        out = exact_delta0(p, t) @ dark
+    grid = TimeGrid(t_end=0.37, n=74)
+    for i in (2, 20, 74):  # t = 0.01, 0.1, 0.37
+        out = delta0_unitaries(p, grid)[i] @ dark
         assert abs(out[2]) <= 1e-16
         assert abs(abs(np.vdot(dark, out)) - 1.0) <= 1e-13
 

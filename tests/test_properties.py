@@ -3,10 +3,11 @@
 Every draw takes the average detuning Delta with either sign, a
 two-photon detuning delta, complex Rabi frequencies Omega_0 and Omega_1
 and a small grid (at most 40 intervals), so that the quadratic oracle
-stays cheap; the eps_scale slope property alone runs forty fast periods
-on the twice-refined mandated grid.  Complex Omega matters: with real drives every matrix of the
-problem is real symmetric, and a wrong transpose or conjugate in the
-L form of the Born step goes unseen.  The spectral properties draw Rabi
+stays cheap; the slope property of the scaled remainder alone runs
+forty fast periods on the twice-refined mandated grid.  Complex Omega
+matters: with real drives every matrix of the problem is real
+symmetric, and a wrong transpose or conjugate in the L form of the Born
+step goes unseen.  The spectral properties draw Rabi
 frequencies down to 1e-7 |Delta| instead, the weak-drive regime where
 adiabatic elimination holds.  Examples are derandomized, so a run is
 reproducible and its cost bounded.
@@ -21,12 +22,12 @@ from ramanls.analysis import trace_populations
 from ramanls.lippmann_schwinger import (GRID_PHASE_LIMIT, TimeGrid, iterate,
                                         required_intervals)
 from ramanls.model import RamanParams, h_ae, h_new, spectral_m0sq, split_square
-from ramanls.numerics import eig_h3, sinc_sqrt
 from ramanls.propagators import ae_model, state_table
 
 import ls_quadratic
+from package_probes import eps_scaling_slopes
 from propagator_oracle import ae_h_eff
-from spectral_oracle import m0sq_by_definition, mat_func_h3
+from spectral_oracle import m0sq_by_definition
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -175,21 +176,8 @@ def test_ls_error_falls_with_slope_k_plus_1_in_eps_scale(data):
     t_end = 40.0 / sd.mu_max
     assume(np.abs(split_square(params)).max() * t_end <= 3.0 * np.sqrt(sd.mu_sq[1]))
     grid = TimeGrid(t_end=t_end, n=2 * required_intervals(params, t_end))
-    h = h_new(params)
-    etas = (1.0, 0.5, 0.25)
     for variant in ("R", "L"):
-        for k in (0, 1):
-            errs = []
-            for eta in etas:
-                spec = eig_h3(m0sq_by_definition(params) + eta * split_square(params))
-                tab = iterate(variant, params, grid, k, eps_scale=eta)
-                worst = 0.0
-                for i in (grid.n // 4, grid.n // 2, grid.n):
-                    t = grid.times[i]
-                    cos = mat_func_h3(spec, lambda lam: np.cos(np.sqrt(max(lam, 0.0)) * t))
-                    sinc = mat_func_h3(spec, lambda lam: sinc_sqrt(max(lam, 0.0), t))
-                    ref = cos - 1j * (sinc @ h if variant == "R" else h @ sinc)
-                    worst = max(worst, float(np.abs(tab[i] - ref).max()))
-                errs.append(worst)
-            slope = np.polyfit(np.log(etas), np.log(errs), 1)[0]
+        slopes = eps_scaling_slopes(variant, params, grid, (0, 1),
+                                    (grid.n // 4, grid.n // 2, grid.n))
+        for k, slope in enumerate(slopes):
             assert abs(slope - (k + 1)) <= 0.3, (variant, k, slope)
