@@ -1,4 +1,4 @@
-"""Scalar observables and population traces.
+"""Elementwise observables and population traces.
 
 Effective Rabi frequencies from the three treatments, the resonance
 detunings of adiabatic elimination and of the linearised light-shift
@@ -6,19 +6,20 @@ balance, the transfer amplitude, and a uniform population-trace record
 for every propagation method the package offers.  The Rabi frequencies
 and the amplitude read the closed-form Raman block, so they stay
 accurate to a few ulps at weak drive, where adiabatic elimination is
-reliable.
+reliable.  ``rabi_ae``, ``rabi_general`` and ``amplitude_p`` are
+elementwise: given a RamanParams with array fields they return one
+value per parameter point, equal bit for bit to the scalar call there.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lippmann_schwinger import (TimeGrid, Variant, _u0_table, apply_normalized,
                                  iterate)
-from .model import RamanParams, _raman_block, h_ae, h_new, spectral_m0sq
+from .model import RamanParams, _modulus, _raman_block, h_ae, h_new, spectral_m0sq
 from .propagators import (ae_model, mode_factors, rk4_steps, state_table,
                           step_powers)
 
@@ -38,7 +39,7 @@ class Trace:
 def rabi_ae(params: RamanParams) -> float:
     """Effective Rabi frequency of the adiabatic-elimination model: the gap
     2r/|Delta| of h_eff = -T/Delta + c I, T the traceless Raman block."""
-    return 2.0 * _raman_block(params)[2] / abs(params.delta_avg)
+    return 2.0 * _raman_block(params)[2] / np.abs(params.delta_avg)
 
 
 def rabi_exact_delta0(params: RamanParams) -> float:
@@ -52,7 +53,7 @@ def rabi_general(params: RamanParams) -> float:
     """Effective Rabi frequency mu_plus - mu_minus of the split square,
     taken as 2r/(mu_plus + mu_minus) so that weak drives do not cancel."""
     _, _, r, mu_plus_sq, mu_minus_sq = _raman_block(params)
-    return 2.0 * r / (math.sqrt(mu_plus_sq) + math.sqrt(mu_minus_sq))
+    return 2.0 * r / (np.sqrt(mu_plus_sq) + np.sqrt(mu_minus_sq))
 
 
 def delta_resonant_ae(params: RamanParams) -> float:
@@ -76,9 +77,9 @@ def amplitude_p(params: RamanParams) -> float:
     """Transfer oscillation amplitude |b|^2/r^2 of the effective two-level
     model, from the closed form of the Raman block."""
     _, b, r, _, _ = _raman_block(params)
-    if r == 0:
+    if (r == 0.0).any():
         raise ValueError("amplitude undefined: degenerate Raman block")
-    return (abs(b) / r) ** 2
+    return np.square(_modulus(b) / r)
 
 
 def _require_no_excited(psi0: np.ndarray, method: str) -> np.ndarray:

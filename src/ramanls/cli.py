@@ -20,6 +20,7 @@ large for memory included).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -152,6 +153,7 @@ SCENARIO_KEYS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramanls",
@@ -380,14 +382,15 @@ def _fidelity_block(delta_avg: float, omega1: float, ratios, omega_r_t_max: floa
 
 def _sweep_block(config: RunConfig):
     """Yield the sweep one block of ``CHUNK_ROWS`` points at a time: the
-    axis values and one column per observable."""
+    axis values and one column per observable.  The swept field of each
+    block is one array, so every observable is evaluated once per block,
+    elementwise."""
     values = np.linspace(config.sweep_from, config.sweep_to, config.points)
     field_name = _AXIS_FIELDS[config.sweep_axis]
     for start in range(0, len(values), CHUNK_ROWS):
         chunk = values[start:start + CHUNK_ROWS]
-        params = [replace(config.params, **{field_name: v}) for v in chunk.tolist()]
-        yield (chunk, *(np.array([OBSERVABLES[o](p) for p in params], dtype=float)
-                        for o in config.observables)), None
+        params = replace(config.params, **{field_name: chunk})
+        yield (chunk, *(OBSERVABLES[o](params) for o in config.observables)), None
 
 
 def _tables(config: RunConfig):

@@ -26,6 +26,10 @@ class RamanParams:
     delta_avg : average one-photon detuning (nonzero)
     delta_2ph : overall two-photon detuning
     omega0, omega1 : complex Rabi frequencies of the two drives
+
+    Any field may be a numpy array that broadcasts with the others, one
+    parameter point per entry; ``_raman_block`` and the Rabi frequencies
+    and amplitude of ``analysis`` then return arrays of that shape.
     """
 
     delta_avg: float
@@ -35,20 +39,20 @@ class RamanParams:
 
     def __post_init__(self):
         vals = (self.delta_avg, self.delta_2ph, self.omega0, self.omega1)
-        if not all(math.isfinite(abs(complex(v))) for v in vals):
+        if not all(np.isfinite(v).all() for v in vals):
             raise ValueError("RamanParams entries must be finite")
-        if self.delta_avg == 0.0:
+        if np.equal(self.delta_avg, 0.0).any():
             raise ValueError("average detuning must be nonzero")
 
     @property
     def omega_sq(self) -> float:
         """|omega0|^2 + |omega1|^2."""
-        return abs(self.omega0) ** 2 + abs(self.omega1) ** 2
+        return np.square(_modulus(self.omega0)) + np.square(_modulus(self.omega1))
 
     @property
     def omega_imbalance(self) -> float:
         """|omega0|^2 - |omega1|^2 (the sigma_3 quadratic form)."""
-        return abs(self.omega0) ** 2 - abs(self.omega1) ** 2
+        return np.square(_modulus(self.omega0)) - np.square(_modulus(self.omega1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,34 +112,49 @@ def split_square(params: RamanParams) -> np.ndarray:
     return eps
 
 
+def _modulus(z):
+    """|z| as the hypot of its parts, elementwise.  np.abs of a complex is
+    not correctly rounded in about a third of random draws; hypot is."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
 def _raman_block(params: RamanParams):
     """The upper 2x2 block of m0sq as c I + [[a, b], [b*, -a]], in closed form.
 
     Returns ``(a, b, r, mu_plus_sq, mu_minus_sq)`` with r = hypot(a, |b|),
-    half the eigenvalue gap.  mu_plus_sq = c + r sums positive terms, and
-    mu_minus_sq = det/mu_plus_sq with det a sum of squares, so neither
-    cancels at weak drive and mu_minus_sq is never negative.  det grows
-    as delta_avg^4: parameters whose squares or det leave double range
-    raise ValueError, and so do parameters whose squares all underflow to
-    zero, where mu_plus_sq = 0 leaves mu_minus_sq undefined.
+    half the eigenvalue gap, elementwise over broadcasting array fields.
+    mu_plus_sq = c + r sums positive terms, and mu_minus_sq =
+    det/mu_plus_sq with det a sum of squares, so neither cancels at weak
+    drive and mu_minus_sq is never negative.  det grows as delta_avg^4:
+    parameters whose squares or det leave double range raise ValueError,
+    and so do parameters whose squares all underflow to zero, where
+    mu_plus_sq = 0 leaves mu_minus_sq undefined.  The message names the
+    first such point.  Scalars and arrays take the same numpy ufuncs, so
+    an array entry equals the scalar result at that point bit for bit.
     """
     d, dd = params.delta_avg, params.delta_2ph
-    try:
-        a = 0.5 * dd * d + 0.125 * params.omega_imbalance
-        b = 0.25 * params.omega0 * np.conj(params.omega1)
-        r = math.hypot(a, abs(b))
-        mu_plus_sq = 0.25 * (d * d + dd * dd) + 0.125 * params.omega_sq + r
-        det = (((d - dd) * (d + dd)) ** 2 + (d + dd) ** 2 * abs(params.omega1) ** 2
-               + (d - dd) ** 2 * abs(params.omega0) ** 2)
-        if not math.isfinite(mu_plus_sq + det):  # |a|, |b| <= r <= mu_plus_sq
-            raise OverflowError
-        mu_minus_sq = det / (16.0 * mu_plus_sq)
-    except (OverflowError, ZeroDivisionError) as exc:
-        kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
+    with np.errstate(over="ignore", invalid="ignore"):
+        o0_abs, o1_abs = _modulus(params.omega0), _modulus(params.omega1)
+        o0_sq, o1_sq = np.square(o0_abs), np.square(o1_abs)
+        a = 0.5 * dd * d + 0.125 * (o0_sq - o1_sq)
+        # The ufunc, not the operator: on numpy scalars ``*`` rounds a
+        # complex product differently from the array loop.
+        b = np.multiply(0.25 * params.omega0, np.conj(params.omega1))
+        r = np.hypot(a, _modulus(b))
+        mu_plus_sq = 0.25 * (np.square(d) + np.square(dd)) + 0.125 * (o0_sq + o1_sq) + r
+        det = (np.square((d - dd) * (d + dd)) + np.square(d + dd) * o1_sq
+               + np.square(d - dd) * o0_sq)
+        overflow = ~np.isfinite(mu_plus_sq + det)  # |a|, |b| <= r <= mu_plus_sq
+    bad = overflow | (mu_plus_sq == 0.0)
+    if bad.any():
+        i = np.argmax(bad)
+        at = [np.broadcast_to(v, bad.shape).flat[i]
+              for v in (d, dd, o0_abs, o1_abs)]
+        kind = "overflow" if overflow.flat[i] else "underflow"
         raise ValueError(
-            f"parameters {kind} double precision: delta_avg = {d:g}, "
-            f"delta = {dd:g}, |omega0| = {abs(params.omega0):g}, "
-            f"|omega1| = {abs(params.omega1):g}") from None
+            f"parameters {kind} double precision: delta_avg = {at[0]:g}, "
+            f"delta = {at[1]:g}, |omega0| = {at[2]:g}, |omega1| = {at[3]:g}")
+    mu_minus_sq = det / (16.0 * mu_plus_sq)
     return a, b, r, mu_plus_sq, mu_minus_sq
 
 

@@ -21,11 +21,12 @@ import numpy as np
 from ramanls.model import RamanParams, h_new
 
 
-def exact_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """Evolution operator exp(-i h t) of a Hermitian 3x3 Hamiltonian."""
+def exact_unitary(h: np.ndarray, t) -> np.ndarray:
+    """Evolution operator exp(-i h t) of a Hermitian 3x3 Hamiltonian; for
+    an array of times, one operator per time along the leading axes."""
     lam, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * lam * t)
-    return (v * phases) @ v.conj().T
+    phases = np.exp(-1j * np.multiply.outer(t, lam))
+    return (v * phases[..., None, :]) @ v.conj().T
 
 
 def _rk4(h: np.ndarray, x: np.ndarray, dt: float, steps: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from ramanls.analysis import (amplitude_p, delta_resonant_ae,
 from ramanls.lippmann_schwinger import (TimeGrid, apply_normalized,
                                         auto_grid, iterate, required_intervals)
 from ramanls.model import RamanParams, h_ae, h_new, split_square
-from ramanls.numerics import eig_h3
 from ramanls.propagators import state_table
 
 from package_probes import delta0_unitaries, eps_scaling_slopes
@@ -56,9 +55,7 @@ def cycle_grid():
 
 @pytest.fixture(scope="module")
 def exact_cycle(cycle_grid):
-    lam, v = eig_h3(h_new(FIG4))
-    phases = np.exp(-1j * np.outer(cycle_grid.times, lam))
-    return np.einsum("tk,ak,bk->tab", phases, v, v.conj())
+    return exact_unitary(h_new(FIG4), cycle_grid.times)
 
 
 def pop_error(table, exact):

@@ -7,7 +7,6 @@ from ramanls.analysis import (METHODS, amplitude_p, delta_resonant_ae,
                               trace_populations)
 from ramanls.lippmann_schwinger import TimeGrid, auto_grid
 from ramanls.model import RamanParams, h_new
-from ramanls.numerics import eig_h3
 from ramanls.propagators import rk4_steps
 
 from propagator_oracle import ae_population_1, lightshift_balance, ode_states_by_node
@@ -61,6 +60,19 @@ def test_rabi_general_values():
     # reduces to the exact delta=0 value for matched drives
     p = RamanParams(400.0, 0.0, 40.0, 40.0)
     assert rabi_general(p) == pytest.approx(rabi_exact_delta0(p), rel=1e-12)
+
+
+def test_observables_are_elementwise_bit_for_bit():
+    # Array fields give, entry by entry, the scalar call's exact bits.
+    rng = np.random.default_rng(11)
+    n = 2000
+    omegas = rng.uniform(0.01, 300.0, (2, n)) * np.exp(2j * np.pi * rng.uniform(size=(2, n)))
+    fields = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 900.0, n),
+              rng.uniform(-40.0, 40.0, n), *omegas)
+    points = [RamanParams(*v) for v in zip(*(f.tolist() for f in fields))]
+    for observable in (rabi_general, rabi_ae, amplitude_p):
+        assert np.array_equal(observable(RamanParams(*fields)),
+                              [observable(p) for p in points]), observable.__name__
 
 
 def test_delta_resonant_ae_values():
@@ -189,7 +201,7 @@ def test_trace_ls_labels_and_norms():
 
 def test_trace_m0eff_matches_block_propagator():
     # exp(+i sqrt(B) t), B the Raman block of M0^2 built from its definition.
-    spec = eig_h3(m0sq_by_definition(FIG4)[:2, :2])
+    spec = np.linalg.eigh(m0sq_by_definition(FIG4)[:2, :2])
     grid = TimeGrid(t_end=0.1, n=20)
     trace = trace_populations("m0eff", FIG4, PSI0, grid)
     assert np.all(trace.pe == 0.0)

@@ -1,5 +1,6 @@
 import argparse
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,18 @@ def test_parse_config_psi0():
         psi0 = parse_config(evolve + [text]).psi0
         assert np.allclose(np.abs(psi0), [0.5 ** 0.5, 0.5 ** 0.5, 0.0],
                            rtol=0, atol=1e-15)
+
+
+def test_parsing_twice_gives_independent_configs():
+    # The parser is built once per process; its results must not share state.
+    first = parse_config(SWEEP)
+    second = parse_config(SWEEP[:-1] + ["7", "--observable", "rabi-ae"])
+    first.observables.append("rabi-ae")
+    assert (second.points, second.observables) == (7, ["rabi-ae"])
+    third = parse_config(SWEEP)
+    assert (third.points, third.observables) == (3, ["rabi", "amplitude"])
+    assert third.params == first.params and third is not first
+    assert parse_config(FIDELITY).sweep_axis is None
 
 
 def test_signed_values_parse_as_their_attached_form(capsys):
@@ -408,6 +421,61 @@ def test_sweep_over_several_chunks_matches_observables(tmp_path):
         rows.append((v, cli.OBSERVABLES["amplitude"](p), cli.OBSERVABLES["rabi-ae"](p)))
     assert out.read_text() == per_row_csv(("omega1", "amplitude", "rabi-ae"),
                                           [(list(zip(*rows)), None)])
+
+
+@pytest.mark.parametrize("axis, lo, hi", [("delta", -40.0, 30.0),
+                                           ("delta-avg", -400.0, 500.0),
+                                           ("omega0", -250.0, 130.0),
+                                           ("omega1", -40.0, 300.0)])
+def test_sweep_chunks_match_scalar_calls_on_every_axis(tmp_path, axis, lo, hi):
+    # One elementwise call per chunk gives the bytes of one scalar call per
+    # point, complex drives and a range through 0 included.
+    out = tmp_path / "sweep.csv"
+    points = 2 * cli.CHUNK_ROWS + 3
+    assert cli.main(["sweep", "--delta-avg", "400", "--delta", "-16",
+                     "--omega0", "120+160i", "--omega1", "-30+70i", "--axis", axis,
+                     "--from", str(lo), "--to", str(hi), "--points", str(points),
+                     "--observable", "rabi,rabi-ae,amplitude",
+                     "--out", str(out)]) == EXIT_OK
+    values = np.linspace(lo, hi, points)
+    assert values.min() < 0.0 < values.max()
+    # omega1 = 0 exactly (one drive off) is a sweep point; delta_avg = 0 never.
+    assert (0.0 in values) == (axis == "omega1")
+    base = RamanParams(400.0, -16.0, 120 + 160j, -30 + 70j)
+    rows = []
+    for v in values.tolist():
+        p = replace(base, **{cli._AXIS_FIELDS[axis]: v})
+        rows.append((v, *(cli.OBSERVABLES[o](p) for o in ("rabi", "rabi-ae", "amplitude"))))
+    assert out.read_text() == per_row_csv((axis, "rabi", "rabi-ae", "amplitude"),
+                                          [(list(zip(*rows)), None)])
+
+
+def test_sweep_overflow_names_the_first_point_as_a_scalar_call_does(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--delta-avg", "400", "--omega0", "200", "--omega1", "120",
+            "--axis", "omega0", "--from", "0", "--to", "1e200", "--points", "9",
+            "--out", str(out)]
+    assert cli.main(argv) == EXIT_NUMERICAL
+    assert not out.exists()
+    # The first point past 0, 1.25e199, is the first whose squares overflow.
+    with pytest.raises(ValueError) as scalar:
+        rabi_general(RamanParams(400.0, 0.0, 1.25e199, 120.0))
+    assert "overflow double precision" in str(scalar.value)
+    assert capsys.readouterr().err == ("numerical failure in scenario sweep: "
+                                       f"{scalar.value}\n")
+
+
+def test_drive_with_finite_parts_and_overflowing_modulus(tmp_path, capsys):
+    # Each part is finite, so the parameters are valid; the Raman block
+    # then reports the overflow instead of a traceback.
+    out = tmp_path / "trace.csv"
+    assert cli.main(["evolve", "--delta-avg", "400", "--omega0", "1.5e308+1.5e308i",
+                     "--omega1", "120", "--t-end", "1", "--method", "exact-new",
+                     "--out", str(out)]) == EXIT_NUMERICAL
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "numerical failure in scenario evolve: parameters overflow double precision: "
+        "delta_avg = 400, delta = 0, |omega0| = inf, |omega1| = 120\n")
 
 
 def test_sweep_looks_up_observables_at_call_time(tmp_path, monkeypatch):

@@ -5,7 +5,6 @@ from ramanls.lippmann_schwinger import (GRID_PHASE_LIMIT, TimeGrid, Variant,
                                         apply_normalized, auto_grid, iterate,
                                         required_intervals, validate_grid)
 from ramanls.model import RamanParams, h_new, spectral_m0sq, split_square
-from ramanls.numerics import eig_h3
 
 import ls_quadratic
 from propagator_oracle import exact_unitary
@@ -16,12 +15,6 @@ PSI0 = np.array([1.0, 0.0, 0.0], dtype=complex)
 MU_PLUS, MU_MINUS = np.sqrt(spectral_m0sq(FIG4).mu_sq[:2])
 OMEGA_R = MU_PLUS - MU_MINUS
 CYCLE = 2.0 * np.pi / OMEGA_R
-
-
-def exact_table(params, times):
-    lam, v = eig_h3(h_new(params))
-    phases = np.exp(-1j * np.outer(times, lam))
-    return np.einsum("tk,ak,bk->tab", phases, v, v.conj())
 
 
 def pop_error(table, exact, psi0=PSI0):
@@ -147,7 +140,7 @@ def test_iterate_zero_detuning_corrections_vanish():
 
 def test_hierarchy_improves_with_order():
     g = TimeGrid(t_end=CYCLE, n=2 * required_intervals(FIG4, CYCLE))
-    exact = exact_table(FIG4, g.times)
+    exact = exact_unitary(h_new(FIG4), g.times)
     for variant in ("R", "L"):
         errs = [pop_error(iterate(variant, FIG4, g, k), exact) for k in (0, 1, 2)]
         assert errs[0] > errs[1] > errs[2]
@@ -159,7 +152,7 @@ def test_symmetric_zeroth_order_quality():
     # one full slow cycle is 0.0226 in the relevant-level populations
     # (largest near the middle of the cycle), best of the three variants.
     g = TimeGrid(t_end=CYCLE, n=2 * required_intervals(FIG4, CYCLE))
-    exact = exact_table(FIG4, g.times)
+    exact = exact_unitary(h_new(FIG4), g.times)
     ref = np.abs(np.einsum("tab,b->ta", exact, PSI0)) ** 2
 
     def err01(variant):
@@ -174,7 +167,7 @@ def test_symmetric_zeroth_order_quality():
 
 def test_symmetric_hierarchy_also_improves():
     g = TimeGrid(t_end=CYCLE, n=2 * required_intervals(FIG4, CYCLE))
-    exact = exact_table(FIG4, g.times)
+    exact = exact_unitary(h_new(FIG4), g.times)
     errs = [pop_error(iterate("S", FIG4, g, k), exact) for k in (0, 1, 2)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
@@ -189,7 +182,7 @@ def test_mean_variant_differs_from_symmetric_beyond_zeroth():
     assert np.abs(0.5 * (tab_r + tab_l) - tab_m).max() == 0.0
     # distinct from the symmetric iteration at the same order, same accuracy class
     assert np.abs(tab_m - tab_s).max() > 1e-3
-    exact = exact_table(FIG4, g.times)
+    exact = exact_unitary(h_new(FIG4), g.times)
     err_m = np.abs(tab_m - exact).max()
     err_rl = max(np.abs(tab_r - exact).max(),
                  np.abs(tab_l - exact).max())
@@ -235,7 +228,7 @@ def test_quadrature_order_against_exact(variant):
     t_end = 100.0 / 400.0
     n = required_intervals(FIG4, t_end)
     coarse, fine = (np.abs(iterate(variant, FIG4, g, 16)
-                           - exact_table(FIG4, g.times)).max(axis=(1, 2))
+                           - exact_unitary(h_new(FIG4), g.times)).max(axis=(1, 2))
                     for g in (TimeGrid(t_end, n), TimeGrid(t_end, 2 * n)))
     assert coarse[0::2].max() / fine[0::2].max() > 14.0
     assert coarse[3::2].max() / fine[3::2].max() > 14.0
@@ -301,7 +294,7 @@ def test_apply_normalized_zero_detuning_matches_exact():
     p = RamanParams(400.0, 0.0, 100.0, 100.0)
     g = auto_grid(p, 0.15)
     states = apply_normalized(iterate("S", p, g, 0), PSI0)
-    ref = np.einsum("tab,b->ta", exact_table(p, g.times), PSI0)
+    ref = np.einsum("tab,b->ta", exact_unitary(h_new(p), g.times), PSI0)
     assert np.abs(states - ref).max() < 1e-11
 
 

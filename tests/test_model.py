@@ -41,6 +41,21 @@ def test_params_validation():
     assert p.omega_sq == 54400.0 and p.omega_imbalance == 25600.0
 
 
+def test_params_validation_of_array_fields():
+    # Array fields broadcast with the others; one bad entry rejects all.
+    grid = np.linspace(-40.0, 40.0, 9)
+    with pytest.raises(ValueError, match="^RamanParams entries must be finite$"):
+        RamanParams(400.0, np.where(grid == 10.0, np.nan, grid), 200.0, 120.0)
+    with pytest.raises(ValueError, match="^RamanParams entries must be finite$"):
+        RamanParams(400.0, 0.0, np.full(3, 200.0 + 0j), np.array([1.0, 2.0, np.inf]))
+    with pytest.raises(ValueError, match="^average detuning must be nonzero$"):
+        RamanParams(np.linspace(-400.0, 400.0, 9), 0.0, 200.0, 120.0)
+    p = RamanParams(np.linspace(100.0, 500.0, 5), grid[:, None], 200.0, 120.0j)
+    assert p.omega_sq == 54400.0
+    assert rabi_general(p).shape == (9, 5)
+    assert rabi_general(p)[2, 3] == rabi_general(RamanParams(400.0, -20.0, 200.0, 120.0j))
+
+
 def test_h_ae_trivial_and_fig4_entries():
     p = RamanParams(400.0, 0.0, 0.0, 0.0)
     assert np.allclose(h_ae(p), np.diag([0.0, 0.0, 400.0]))
