@@ -9,19 +9,25 @@ accurate to a few ulps at weak drive, where adiabatic elimination is
 reliable.  ``rabi_ae``, ``rabi_general`` and ``amplitude_p`` are
 elementwise: given a RamanParams with array fields they return one
 value per parameter point, equal bit for bit to the scalar call there.
+
+The non-LS traces read one spectrum each: ``exact-*`` and ``ode`` the
+eigensystem of H (``ode`` with RK4's growth factor per interval in place
+of each exact phase), ``ae`` and ``m0eff`` the Raman-block projectors,
+beating at 2r/Delta and at mu+ - mu-.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lippmann_schwinger import (TimeGrid, Variant, _u0_table, apply_normalized,
-                                 iterate)
+                                 _initial_state, iterate)
 from .model import RamanParams, _modulus, _raman_block, h_ae, h_new, spectral_m0sq
-from .propagators import (ae_model, mode_factors, rk4_steps, state_table,
-                          step_powers)
+from .numerics import eig_h3
+from .propagators import mode_factors, rk4_steps, state_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,16 +88,6 @@ def amplitude_p(params: RamanParams) -> float:
     return np.square(_modulus(b) / r)
 
 
-def _require_no_excited(psi0: np.ndarray, method: str) -> np.ndarray:
-    if abs(psi0[2]) > 1e-12:
-        raise ValueError(f"method {method} requires zero initial excited amplitude")
-    return psi0[:2]
-
-
-def _with_empty_excited(two: np.ndarray) -> np.ndarray:
-    return np.concatenate([two, np.zeros((len(two), 1))], axis=1)
-
-
 # Every method maps (params, psi0, grid, order) to the (n+1, 3)
 # states on the grid nodes.  The helpers are looked up in this module's
 # globals at call time, never bound early, so that wrapping a module
@@ -100,32 +96,54 @@ def _with_empty_excited(two: np.ndarray) -> np.ndarray:
 def _ode(params, psi0, grid, order):
     """RK4 across each grid interval in s = ``rk4_steps`` equal substeps.
     For constant H one four-stage step is the stability polynomial
-    1 + z + z^2/2 + z^3/6 + z^4/24 at z = -i H dt/s, and its s-th power is
-    the same 3x3 map on every interval, so node i is the map's i-th power
-    applied to psi0, evaluated by ``step_powers``."""
+    p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = -i H dt/s, so on each
+    eigenvector v_m of H one interval multiplies by the scalar growth
+    factor g_m = p(-i lam_m dt/s)^s, and node i is
+    sum_m g_m^i v_m (v_m^H psi0): the exact propagator with
+    exp(-i lam_m dt) replaced by g_m."""
     h = h_new(params)
     substeps = rk4_steps(h, grid.dt)
-    z = (-1j * grid.dt / substeps) * h
-    poly = np.eye(3, dtype=complex)
-    for j in (4, 3, 2, 1):  # Horner: I + z (I + z/2 (I + z/3 (I + z/4)))
-        poly = np.eye(3) + (z @ poly) / j
-    return step_powers(np.linalg.matrix_power(poly, substeps), psi0, grid.n)
+    lam, v = eig_h3(h)
+    z = (-1j * grid.dt / substeps) * lam
+    p = np.ones(3, dtype=complex)
+    for j in (4, 3, 2, 1):  # Horner: 1 + z (1 + z/2 (1 + z/3 (1 + z/4)))
+        p = 1.0 + z * p / j
+    g = p ** substeps
+    # g^i as (g^B)^q g^r with B = isqrt(n) + 1, from O(sqrt(n)) products.
+    b = math.isqrt(grid.n) + 1
+    low = np.cumprod(np.vstack([np.ones(3), np.tile(g, (b - 1, 1))]), axis=0)
+    step = low[-1] * g
+    high = np.cumprod(np.vstack([np.ones(3), np.tile(step, (b - 1, 1))]), axis=0)
+    growth = (high[:, None] * low).reshape(b * b, 3)[:grid.n + 1]
+    return (growth * (v.conj().T @ psi0)) @ v.T
+
+
+def _beat(params, psi0, grid, omega, method):
+    """The two-level states P- psi0 + exp(i omega t) P+ psi0, excited
+    amplitude zero, P+- the Raman-block projectors of ``spectral_m0sq``.
+    They are the eigenprojectors of the AE h_eff as well, so one beat
+    serves both two-level methods; it drops a global phase, which no
+    population reads."""
+    if abs(psi0[2]) > 1e-12:
+        raise ValueError(f"method {method} requires zero initial excited amplitude")
+    p_plus, p_minus = spectral_m0sq(params).projectors[:2, :2, :2]
+    beat = np.exp(1j * omega * grid.times)
+    two = np.outer(beat, p_plus @ psi0[:2]) + p_minus @ psi0[:2]
+    return np.concatenate([two, np.zeros((len(two), 1))], axis=1)
 
 
 def _ae(params, psi0, grid, order):
-    psi01 = _require_no_excited(psi0, "ae")
-    return _with_empty_excited(state_table(ae_model(params), grid.times, psi01))
+    """exp(-i h_eff t) psi0 with h_eff = -T/Delta + c I and T = r (P+ - P-),
+    so the beat runs at 2r/Delta = sign(Delta) ``rabi_ae``."""
+    omega = np.sign(params.delta_avg) * rabi_ae(params)
+    return _beat(params, psi0, grid, omega, "ae")
 
 
 def _m0eff(params, psi0, grid, order):
-    """exp(+i sqrt(B) t) psi0, B the Raman block of M0^2, as the one beat
-    P- psi0 + exp(i Omega_R t) P+ psi0 at Omega_R = mu+ - mu- from
-    ``rabi_general``, which stays exact at weak drive.  This drops the
-    global phase exp(i mu- t), which no population reads."""
-    psi01 = _require_no_excited(psi0, "m0eff")
-    p_plus, p_minus = spectral_m0sq(params).projectors[:2, :2, :2]
-    beat = np.exp(1j * rabi_general(params) * grid.times)
-    return _with_empty_excited(np.outer(beat, p_plus @ psi01) + p_minus @ psi01)
+    """exp(+i sqrt(B) t) psi0, B the Raman block of M0^2, as the beat at
+    Omega_R = mu+ - mu- from ``rabi_general``, which stays exact at weak
+    drive."""
+    return _beat(params, psi0, grid, rabi_general(params), "m0eff")
 
 
 def _delta0(params, psi0, grid, order):
@@ -168,11 +186,7 @@ def trace_populations(method: str, params: RamanParams, psi0: np.ndarray,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (3,):
-        raise ValueError("initial state must have three components")
-    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # false for NaN too
-        raise ValueError("initial state must have unit norm")
+    psi0 = _initial_state(psi0)
     states = METHODS[method](params, psi0, grid, order)
     label = f"{method}-k{order}" if method.startswith("ls-") else method
     pops = np.abs(states) ** 2

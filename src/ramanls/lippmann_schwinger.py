@@ -248,6 +248,17 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
     return table.transpose(2, 0, 1)
 
 
+def _initial_state(psi0) -> np.ndarray:
+    """psi0 as a complex (3,) array; rejects other shapes, and norms not
+    within 1e-9 of one (NaN included)."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (3,):
+        raise ValueError("initial state must have three components")
+    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # false for NaN too
+        raise ValueError("initial state must have unit norm")
+    return psi0
+
+
 def apply_normalized(table: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """Apply an (n+1, 3, 3) table to an initial state and renormalize node
     by node.
@@ -260,11 +271,7 @@ def apply_normalized(table: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     if np.ndim(table) != 3 or np.shape(table)[1:] != (3, 3):
         raise ValueError(f"propagator table must have shape (m, 3, 3), "
                          f"got {np.shape(table)}")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (3,):
-        raise ValueError("initial state must have three components")
-    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # false for NaN too
-        raise ValueError("initial state must have unit norm")
+    psi0 = _initial_state(psi0)
     with np.errstate(invalid="ignore", over="ignore"):  # rejected just below
         raw = table @ psi0
         norms = np.linalg.norm(raw, axis=1)

@@ -1,8 +1,9 @@
 """The two numerical primitives under the propagators.
 
-``eig_h3`` diagonalises the 2x2 and 3x3 Hamiltonians and checks nothing:
-``h_ae``, ``h_new`` and ``ae_model`` are exactly Hermitian by
-construction, which a property test pins.  ``sinc_sqrt`` evaluates
+``eig_h3`` diagonalises the 3x3 Hamiltonians (and a 2x2 such as
+``ae_model``, for a library caller) and checks nothing: ``h_ae``,
+``h_new`` and ``ae_model`` are exactly Hermitian by construction, which a
+property test pins.  ``sinc_sqrt`` evaluates
 sin(M t)/M as an even function of M^2.  Both are pure functions of
 plain numpy arrays.
 """

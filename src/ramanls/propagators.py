@@ -1,17 +1,14 @@
 """Propagators for the driven three-level system.
 
 Exact state evolution by eigendecomposition, the RK4 step count behind
-the ``ode`` method and the powers of its one-interval step matrix, the
-adiabatic-elimination effective Hamiltonian (``ae_model`` returns the
-2x2 h_eff, read off the Raman block; its Rabi frequency is
-``analysis.rabi_ae``), the cos/sinc mode factors of the squared
-Hamiltonian's block-diagonal part (shared by the zero-detuning solution
-and the integral hierarchy).
+the ``ode`` method (which ``analysis`` evaluates on the eigensystem of
+H, one scalar growth factor per eigenvalue), the adiabatic-elimination
+effective Hamiltonian (``ae_model`` returns the 2x2 h_eff, read off the
+Raman block, for library callers; the ``ae`` trace beats on the same
+block's projectors at ``analysis.rabi_ae``), the cos/sinc mode factors
+of the squared Hamiltonian's block-diagonal part (shared by the
+zero-detuning solution and the integral hierarchy).
 
-H is time-independent, so RK4 across one grid interval is one fixed 3x3
-matrix, and node i of an ``ode`` trace is its i-th power applied to the
-initial state; ``step_powers`` evaluates every node in O(sqrt(n)) Python
-iterations.
 Every sin(M t)/M factor is evaluated as the even scalar function
 sin(sqrt(lam) t)/sqrt(lam) of the squared operator, so no square-root
 sign ever has to be chosen.
@@ -43,27 +40,6 @@ def rk4_steps(h: np.ndarray, span: float) -> int:
     if rho == 0:
         return 1
     return max(1, int(math.ceil(abs(span) / (0.05 / rho))))
-
-
-def step_powers(step: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
-    """The n + 1 vectors step^i x0, i = 0..n, as rows of one array.
-
-    Factored with B = isqrt(n) + 1: node qB + r is (step^B)^q (step^r x0),
-    so B vector steps and B matrix products feed one contraction.  The
-    rounding of ``step`` itself enters every power coherently, so node i
-    differs from applying the unrounded map i times by O(i) ulps.
-    """
-    b = math.isqrt(n) + 1
-    low = np.empty((b, len(x0)), dtype=complex)
-    low[0] = x0
-    for r in range(1, b):
-        low[r] = step @ low[r - 1]
-    high = np.empty((b, *step.shape), dtype=complex)
-    high[0] = np.eye(len(step))
-    big = np.linalg.matrix_power(step, b)
-    for q in range(1, b):
-        high[q] = big @ high[q - 1]
-    return np.einsum("qab,rb->qra", high, low).reshape(b * b, -1)[:n + 1]
 
 
 def ae_model(params: RamanParams) -> np.ndarray:

@@ -9,7 +9,8 @@ from ramanls.lippmann_schwinger import TimeGrid, auto_grid
 from ramanls.model import RamanParams, h_new
 from ramanls.propagators import rk4_steps
 
-from propagator_oracle import ae_population_1, lightshift_balance, ode_states_by_node
+from propagator_oracle import (ae_h_eff, ae_population_1, lightshift_balance,
+                              ode_states_by_node)
 from spectral_oracle import m0sq_by_definition, mat_func_h3
 
 FIG4 = RamanParams(400.0, -16.0, 200.0 + 0j, 120.0 + 0j)
@@ -166,18 +167,41 @@ def test_trace_ode_matches_exact():
     assert np.abs(t_ode.norm - 1.0).max() <= 1e-9
 
 
-@pytest.mark.parametrize("n, t_end", [
-    (370, 0.25),                      # the figure-4 preset grid, 5 substeps
-    (5000, 0.5),                      # one step per interval
-    (6, 0.25),                        # 300 substeps per interval
+#: Negative detuning, complex drives and a complex superposition: the
+#: populations then read the relative phases of the eigencomponents.
+COMPLEX = RamanParams(-400.0, 3.0, 120.0 + 160.0j, -30.0 + 70.0j)
+PSI0_COMPLEX = np.array([0.6, 0.8j, 0.0])
+
+
+@pytest.mark.parametrize("n, t_end, params, psi0", [
+    pytest.param(370, 0.25, FIG4, PSI0, id="370-0.25"),     # figure-4 grid, 5 substeps
+    pytest.param(5000, 0.5, FIG4, PSI0, id="5000-0.5"),     # one step per interval
+    pytest.param(6, 0.25, FIG4, PSI0, id="6-0.25"),         # 300 substeps per interval
+    pytest.param(2000, 2.0, COMPLEX, PSI0_COMPLEX, id="complex"),
 ])
-def test_trace_ode_matches_node_by_node_rk4(n, t_end):
+def test_trace_ode_matches_node_by_node_rk4(n, t_end, params, psi0):
     grid = TimeGrid(t_end=t_end, n=n)
-    trace = trace_populations("ode", FIG4, PSI0, grid)
-    substeps = rk4_steps(h_new(FIG4), grid.dt)
-    ref = np.abs(ode_states_by_node(FIG4, PSI0, grid, substeps)) ** 2
+    trace = trace_populations("ode", params, psi0, grid)
+    substeps = rk4_steps(h_new(params), grid.dt)
+    ref = np.abs(ode_states_by_node(params, psi0, grid, substeps)) ** 2
     for got, want in zip((trace.p0, trace.p1, trace.pe), ref.T):
         assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(COMPLEX, id="delta_avg<0"),
+    pytest.param(RamanParams(400.0, 3.0, 120.0 + 160.0j, -30.0 + 70.0j), id="delta_avg>0"),
+])
+def test_trace_ae_matches_h_eff_over_many_cycles(params):
+    # exp(-i h_eff t) psi0 by numpy's eigensolver on h_eff written from the
+    # parameters.  A basis state would not see the sign of the beat.
+    lam, v = np.linalg.eigh(ae_h_eff(params))
+    grid = TimeGrid(t_end=60.0 * 2.0 * np.pi / (lam[1] - lam[0]), n=6000)
+    ref = (np.exp(-1j * np.outer(grid.times, lam)) * (v.conj().T @ PSI0_COMPLEX[:2])) @ v.T
+    trace = trace_populations("ae", params, PSI0_COMPLEX, grid)
+    for got, want in zip((trace.p0, trace.p1), np.abs(ref.T) ** 2):
+        assert np.abs(got - want).max() <= 1e-11
+    assert np.all(trace.pe == 0.0)
 
 
 def test_grid_times_built_once_and_shared():
@@ -201,13 +225,14 @@ def test_trace_ls_labels_and_norms():
 
 def test_trace_m0eff_matches_block_propagator():
     # exp(+i sqrt(B) t), B the Raman block of M0^2 built from its definition.
-    spec = np.linalg.eigh(m0sq_by_definition(FIG4)[:2, :2])
     grid = TimeGrid(t_end=0.1, n=20)
-    trace = trace_populations("m0eff", FIG4, PSI0, grid)
-    assert np.all(trace.pe == 0.0)
-    for i in (3, 11, 20):
-        u = mat_func_h3(spec, lambda lam: np.exp(1j * np.sqrt(lam) * trace.times[i]))
-        assert trace.p1[i] == pytest.approx(abs(u[1, 0]) ** 2, abs=1e-13)
+    for params, psi0 in ((FIG4, PSI0), (COMPLEX, PSI0_COMPLEX)):
+        spec = np.linalg.eigh(m0sq_by_definition(params)[:2, :2])
+        trace = trace_populations("m0eff", params, psi0, grid)
+        assert np.all(trace.pe == 0.0)
+        for i in (3, 11, 20):
+            u = mat_func_h3(spec, lambda lam: np.exp(1j * np.sqrt(lam) * trace.times[i]))
+            assert trace.p1[i] == pytest.approx(abs(u[1] @ psi0[:2]) ** 2, abs=1e-13)
 
 
 def test_trace_rejections():

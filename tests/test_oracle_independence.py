@@ -16,7 +16,7 @@ import pytest
 ORACLES = ("ls_quadratic.py", "propagator_oracle.py", "spectral_oracle.py",
            "born_oracle.py")
 FORBIDDEN = {"spectral_m0sq", "mode_factors", "_u0_table", "split_square",
-             "eig_h3", "rabi_ae", "rk4", "rk4_steps", "step_powers"}
+             "eig_h3", "rabi_ae", "rk4", "rk4_steps"}
 
 
 def package_imports(path: Path) -> tuple[set[str], list[str]]:

@@ -5,7 +5,7 @@ import pytest
 
 from ramanls.lippmann_schwinger import TimeGrid
 from ramanls.model import RamanParams, h_ae, h_new
-from ramanls.propagators import ae_model, rk4_steps, state_table, step_powers
+from ramanls.propagators import ae_model, rk4_steps, state_table
 from ramanls.analysis import (METHODS, amplitude_p, rabi_ae, rabi_exact_delta0,
                               rabi_general, trace_populations)
 
@@ -112,18 +112,6 @@ def test_ode_oracle_reverses_time():
     back = ode_oracle(h, -0.02, 2.5e-5)
     fwd = exact_unitary(h, 0.02)
     assert np.abs(back - fwd.conj().T).max() <= 1e-8
-
-
-@pytest.mark.parametrize("n", [1, 2, 48, 64])
-def test_step_powers_match_matrix_powers(n):
-    # n + 1 = 49 is a perfect square, 65 one past one
-    step = ode_oracle(h_new(FIG4), 1e-4, 1e-4)  # one RK4 step
-    x0 = np.array([0.6, 0.8j, 0.0], dtype=complex)
-    states = step_powers(step, x0, n)
-    assert states.shape == (n + 1, 3)
-    for i in range(n + 1):
-        ref = np.linalg.matrix_power(step, i) @ x0
-        assert np.abs(states[i] - ref).max() <= 1e-14
 
 
 # ---------------------------------------------------------------- AE model
