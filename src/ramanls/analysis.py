@@ -189,7 +189,7 @@ def trace_populations(method: str, params: RamanParams, psi0: np.ndarray,
     psi0 = _initial_state(psi0)
     states = METHODS[method](params, psi0, grid, order)
     label = f"{method}-k{order}" if method.startswith("ls-") else method
-    pops = np.abs(states) ** 2
+    pops = np.square(states.real) + np.square(states.imag)
     norm = np.sqrt(pops.sum(axis=1))
     return Trace(times=grid.times, p0=pops[:, 0], p1=pops[:, 1], pe=pops[:, 2],
                  norm=norm, label=label)
