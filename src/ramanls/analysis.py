@@ -112,8 +112,8 @@ def _ode(params, psi0, grid, order):
     # g^i as (g^B)^q g^r with B = isqrt(n) + 1, from O(sqrt(n)) products.
     b = math.isqrt(grid.n) + 1
     low = np.cumprod(np.vstack([np.ones(3), np.tile(g, (b - 1, 1))]), axis=0)
-    step = low[-1] * g
-    high = np.cumprod(np.vstack([np.ones(3), np.tile(step, (b - 1, 1))]), axis=0)
+    g_b = low[-1] * g
+    high = np.cumprod(np.vstack([np.ones(3), np.tile(g_b, (b - 1, 1))]), axis=0)
     growth = (high[:, None] * low).reshape(b * b, 3)[:grid.n + 1]
     return (growth * (v.conj().T @ psi0)) @ v.T
 

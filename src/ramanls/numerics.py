@@ -2,10 +2,9 @@
 
 ``eig_h3`` diagonalises the 3x3 Hamiltonians (and a 2x2 such as
 ``ae_model``, for a library caller) and checks nothing: ``h_ae``,
-``h_new`` and ``ae_model`` are exactly Hermitian by construction, which a
-property test pins.  ``sinc_sqrt`` evaluates
-sin(M t)/M as an even function of M^2.  Both are pure functions of
-plain numpy arrays.
+``h_new`` and ``ae_model`` are exactly Hermitian by construction, which
+a property test pins.  ``sinc_sqrt`` evaluates sin(M t)/M as an even
+function of M^2.  Both are pure functions of plain numpy arrays.
 """
 
 from __future__ import annotations

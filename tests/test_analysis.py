@@ -178,6 +178,7 @@ PSI0_COMPLEX = np.array([0.6, 0.8j, 0.0])
     pytest.param(5000, 0.5, FIG4, PSI0, id="5000-0.5"),     # one step per interval
     pytest.param(6, 0.25, FIG4, PSI0, id="6-0.25"),         # 300 substeps per interval
     pytest.param(2000, 2.0, COMPLEX, PSI0_COMPLEX, id="complex"),
+    pytest.param(48, 0.25, COMPLEX, PSI0_COMPLEX, id="48-0.25"),  # n + 1 = B^2
 ])
 def test_trace_ode_matches_node_by_node_rk4(n, t_end, params, psi0):
     grid = TimeGrid(t_end=t_end, n=n)
@@ -190,14 +191,16 @@ def test_trace_ode_matches_node_by_node_rk4(n, t_end, params, psi0):
 
 @pytest.mark.parametrize("params", [
     pytest.param(COMPLEX, id="delta_avg<0"),
-    pytest.param(RamanParams(400.0, 3.0, 120.0 + 160.0j, -30.0 + 70.0j), id="delta_avg>0"),
+    pytest.param(RamanParams(400.0, 3.0, 120.0 + 160.0j, -30.0 + 70.0j),
+                 id="delta_avg>0"),
 ])
 def test_trace_ae_matches_h_eff_over_many_cycles(params):
     # exp(-i h_eff t) psi0 by numpy's eigensolver on h_eff written from the
     # parameters.  A basis state would not see the sign of the beat.
     lam, v = np.linalg.eigh(ae_h_eff(params))
     grid = TimeGrid(t_end=60.0 * 2.0 * np.pi / (lam[1] - lam[0]), n=6000)
-    ref = (np.exp(-1j * np.outer(grid.times, lam)) * (v.conj().T @ PSI0_COMPLEX[:2])) @ v.T
+    coeff = v.conj().T @ PSI0_COMPLEX[:2]
+    ref = (np.exp(-1j * np.outer(grid.times, lam)) * coeff) @ v.T
     trace = trace_populations("ae", params, PSI0_COMPLEX, grid)
     for got, want in zip((trace.p0, trace.p1), np.abs(ref.T) ** 2):
         assert np.abs(got - want).max() <= 1e-11
@@ -231,7 +234,8 @@ def test_trace_m0eff_matches_block_propagator():
         trace = trace_populations("m0eff", params, psi0, grid)
         assert np.all(trace.pe == 0.0)
         for i in (3, 11, 20):
-            u = mat_func_h3(spec, lambda lam: np.exp(1j * np.sqrt(lam) * trace.times[i]))
+            t = trace.times[i]
+            u = mat_func_h3(spec, lambda lam: np.exp(1j * np.sqrt(lam) * t))
             assert trace.p1[i] == pytest.approx(abs(u[1] @ psi0[:2]) ** 2, abs=1e-13)
 
 
