@@ -307,7 +307,8 @@ def _fig3_preset(omega0: float, omega1: float) -> dict:
 
 
 PRESETS: dict[str, dict] = {
-    "2": {"fidelity": (400.0, 40.0, [1.0, 3.0, 5.0], 7.0)},
+    "2": {"fidelity": [RamanParams(400.0, 0.0, 40.0 * r + 0j, 40.0 + 0j)
+                       for r in (1, 3, 5)]},
     "3a": _fig3_preset(40.0, 40.0),
     "3b": _fig3_preset(40.0, 25.0),
     "3c": _fig3_preset(100.0, 100.0),
@@ -344,40 +345,43 @@ def _write_csv(fh, header, blocks) -> None:
         del columns  # before the next block is computed
 
 
-def _trace_blocks(params: RamanParams, t_end: float, methods, psi0,
-                  points: int | None):
-    """Yield one TRACE_HEADER block per method, on ``points`` intervals
-    rounded up to even (the mandated grid if None).  Only the integral
-    hierarchy (ls-*) raises a coarser grid to it."""
+def _trace_blocks(config: RunConfig):
+    """Yield one TRACE_HEADER block per method of ``config``, on its
+    ``points`` intervals rounded up to even (the mandated grid if None).
+    Only the integral hierarchy (ls-*) raises a coarser grid to it."""
+    params, t_end, points = config.params, config.t_end, config.points
     required = required_intervals(params, t_end)
     n = required if points is None else points + (points % 2)
-    if n < required and any(m.startswith("ls-") for m, _ in methods):
+    if n < required and any(m.startswith("ls-") for m, _ in config.methods):
         print(f"notice: --points {points} too coarse for the integral "
               f"hierarchy; raised to {required}", file=sys.stderr)
         n = required
     grid = TimeGrid(t_end=t_end, n=n)
-    for name, order in methods:
-        tr = trace_populations(name, params, psi0, grid, order=order)
+    for name, order in config.methods:
+        tr = trace_populations(name, params, config.psi0, grid, order=order)
         yield ((tr.times, tr.times * params.delta_avg, tr.p0, tr.p1, tr.pe, tr.norm),
                tr.label)
         del tr  # before the next trace is computed
 
 
-def _fidelity_block(delta_avg: float, omega1: float, ratios, omega_r_t_max: float,
-                    points: int | None):
-    """Yield per ratio |omega0|/|omega1| the exact-evolution fidelity between
-    the two resonant-detuning choices over omega_r_t_max Rabi phases."""
+def _fidelity_block(bases, omega_r_t_max: float, points: int | None):
+    """Yield per RamanParams of ``bases``, labelled by its ratio
+    |omega0|/|omega1|, the exact-evolution fidelity between its two
+    resonant-detuning choices over omega_r_t_max Rabi phases."""
     phase = np.linspace(0.0, omega_r_t_max, 701 if points is None else points)
     psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    for ratio in ratios:
-        base = RamanParams(delta_avg, 0.0, complex(ratio * omega1), complex(omega1))
+    for base in bases:
+        if base.omega0 == 0 or base.omega1 == 0:
+            raise ValueError("the fidelity study needs both drives on; "
+                             "omega0 and omega1 must be nonzero")
         pa = replace(base, delta_2ph=delta_resonant_ae(base))
         pb = replace(base, delta_2ph=delta_resonant_lightshift(base))
         times = phase / rabi_ae(pa)
         sa = state_table(h_ae(pa), times, psi0)
         sb = state_table(h_ae(pb), times, psi0)
         overlap = np.abs(np.einsum("ta,ta->t", sa.conj(), sb))
-        yield (np.full(len(phase), float(ratio)), phase, overlap), None
+        ratio = abs(base.omega0) / abs(base.omega1)
+        yield (np.full(len(phase), ratio), phase, overlap), None
 
 
 def _sweep_block(config: RunConfig):
@@ -406,26 +410,18 @@ def _tables(config: RunConfig):
             else:
                 path = base
             if "fidelity" in preset:
-                yield path, FIDELITY_HEADER, _fidelity_block(*preset["fidelity"],
-                                                             config.points)
+                yield path, FIDELITY_HEADER, _fidelity_block(
+                    preset["fidelity"], config.omega_r_t_max, config.points)
             else:
-                yield path, TRACE_HEADER, _trace_blocks(
-                    preset["params"], preset["t_end"], preset["methods"],
-                    config.psi0, config.points)
+                yield path, TRACE_HEADER, _trace_blocks(replace(config, **preset))
     elif config.scenario == "sweep":
         yield (Path(config.out or "sweep.csv"), (config.sweep_axis, *config.observables),
                _sweep_block(config))
     elif config.scenario == "fidelity":
-        p = config.params
-        if p.omega0 == 0 or p.omega1 == 0:
-            raise ValueError("the fidelity study needs both drives on; "
-                             "omega0 and omega1 must be nonzero")
         yield Path(config.out or "fidelity.csv"), FIDELITY_HEADER, _fidelity_block(
-            p.delta_avg, abs(p.omega1), [abs(p.omega0) / abs(p.omega1)],
-            config.omega_r_t_max, config.points)
+            [config.params], config.omega_r_t_max, config.points)
     else:
-        yield Path(config.out or "trace.csv"), TRACE_HEADER, _trace_blocks(
-            config.params, config.t_end, config.methods, config.psi0, config.points)
+        yield Path(config.out or "trace.csv"), TRACE_HEADER, _trace_blocks(config)
 
 
 def run(config: RunConfig) -> list[Path]:

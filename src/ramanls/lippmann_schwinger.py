@@ -28,9 +28,9 @@ and C_m(t) = cos(mu_m t), angle addition gives
 
 so in the eigenbasis every convolution on node i is a prefix quadrature
 over j of C_m(t_j) h_j and S_m(t_j) h_j, with h = V^H eps U.  The
-Simpson prefix on nodes 0..2k is (dt/3)(2 sum_even + 4 sum_odd - b_0 -
-b_2k), with running sums taken separately over even and odd nodes; odd
-nodes add the 3/8 segment on nodes i-3..i.  One Born order on n nodes
+Simpson prefix on nodes 0..2k is the running sum of its two-interval
+panels, (dt/3) sum_{l<k} (b_2l + 4 b_2l+1 + b_2l+2); odd nodes add the
+3/8 segment on nodes i-3..i.  One Born order on n nodes
 thus costs O(n) time and memory, order k O(k n) time, and no weight
 matrix is ever stored.
 
@@ -142,19 +142,6 @@ def _u0_table(variant: Variant, proj: np.ndarray, h: np.ndarray,
 # ``optimize`` runs its own loop over the rows and calls no BLAS.
 
 
-def _simpson_prefix(b: np.ndarray, dt: float, out: np.ndarray) -> None:
-    """Composite-Simpson integrals of ``b`` over nodes 0..2k, for every k,
-    written to ``out``: (dt/3)(2 sum_even + 4 sum_odd - b_0 - b_2k)."""
-    np.cumsum(b[..., 0::2], axis=-1, out=out)
-    out *= 2.0
-    odd = np.cumsum(b[..., 1:-1:2], axis=-1)
-    odd *= 4.0
-    out[..., 1:] += odd
-    out -= b[..., :1]
-    out -= b[..., 0::2]
-    out *= dt / 3.0
-
-
 def _prefix_integrals(b: np.ndarray, dt: float, mirrored: bool) -> np.ndarray:
     """Prefix quadratures Q_i = sum_j w(i)_j b_j along the time axis.
 
@@ -162,17 +149,24 @@ def _prefix_integrals(b: np.ndarray, dt: float, mirrored: bool) -> np.ndarray:
     i = 1, and for odd i >= 3 Simpson plus a 3/8 segment on nodes i-3..i,
     or on nodes 0..3 when ``mirrored``.
     """
+    def panel_sums(x):
+        """Simpson prefixes of x on its nodes 2, 4, ...: (dt/3) times the
+        running sum of the two-interval panels x_2k + 4 x_2k+1 + x_2k+2."""
+        panels = x[..., :-2:2] + 4.0 * x[..., 1:-1:2] + x[..., 2::2]
+        return np.cumsum(panels, axis=-1) * (dt / 3.0)
+
     q = np.empty_like(b)
-    _simpson_prefix(b, dt, q[..., 0::2])
+    q[..., 0] = 0.0
+    q[..., 2::2] = panel_sums(b)
     q[..., 1] = 0.5 * dt * (b[..., 0] + b[..., 1])
     if b.shape[-1] < 5:  # no odd node i >= 3
         return q
     three_eighths = 3.0 * dt / 8.0
     tail = q[..., 3::2]
     if mirrored:
-        _simpson_prefix(b[..., 3:], dt, tail)
         head = b[..., 0] + 3.0 * (b[..., 1] + b[..., 2]) + b[..., 3]
-        tail += three_eighths * head[..., None]
+        tail[...] = three_eighths * head[..., None]
+        tail[..., 1:] += panel_sums(b[..., 3:])
     else:
         np.add(b[..., :-3:2], b[..., 3::2], out=tail)
         tail += 3.0 * (b[..., 1:-2:2] + b[..., 2:-1:2])
