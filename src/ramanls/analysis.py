@@ -6,9 +6,10 @@ balance, the transfer amplitude, and a uniform population-trace record
 for every propagation method the package offers.  The Rabi frequencies
 and the amplitude read the closed-form Raman block, so they stay
 accurate to a few ulps at weak drive, where adiabatic elimination is
-reliable.  ``rabi_ae``, ``rabi_general`` and ``amplitude_p`` are
-elementwise: given a RamanParams with array fields they return one
-value per parameter point, equal bit for bit to the scalar call there.
+reliable.  ``rabi_ae``, ``rabi_general``, ``amplitude_p`` and both
+resonance detunings are elementwise: given a RamanParams with array
+fields they return one value per parameter point, equal bit for bit to
+the scalar call there.
 
 The non-LS traces read one spectrum each: ``exact-*`` and ``ode`` the
 eigensystem of H (``ode`` with RK4's growth factor per interval in place
@@ -74,9 +75,7 @@ def delta_resonant_lightshift(params: RamanParams) -> float:
     linearised in delta/Delta."""
     _raman_block(params)  # the overflow check: d^4 and every |omega|^2 fit
     d = params.delta_avg
-    o0_sq = abs(params.omega0) ** 2
-    o1_sq = abs(params.omega1) ** 2
-    return 2.0 * d * (o1_sq - o0_sq) / (8.0 * d * d + o0_sq + o1_sq)
+    return -2.0 * d * params.omega_imbalance / (8.0 * d * d + params.omega_sq)
 
 
 def amplitude_p(params: RamanParams) -> float:

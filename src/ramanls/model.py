@@ -28,8 +28,9 @@ class RamanParams:
     omega0, omega1 : complex Rabi frequencies of the two drives
 
     Any field may be a numpy array that broadcasts with the others, one
-    parameter point per entry; ``_raman_block`` and the Rabi frequencies
-    and amplitude of ``analysis`` then return arrays of that shape.
+    parameter point per entry; ``_raman_block`` and the Rabi frequencies,
+    resonance detunings and amplitude of ``analysis`` then return arrays
+    of that shape.
     """
 
     delta_avg: float

@@ -71,7 +71,8 @@ def test_observables_are_elementwise_bit_for_bit():
     fields = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 900.0, n),
               rng.uniform(-40.0, 40.0, n), *omegas)
     points = [RamanParams(*v) for v in zip(*(f.tolist() for f in fields))]
-    for observable in (rabi_general, rabi_ae, amplitude_p):
+    for observable in (rabi_general, rabi_ae, amplitude_p, delta_resonant_ae,
+                       delta_resonant_lightshift):
         assert np.array_equal(observable(RamanParams(*fields)),
                               [observable(p) for p in points]), observable.__name__
 
