@@ -152,8 +152,12 @@ def _prefix_integrals(b: np.ndarray, dt: float, mirrored: bool) -> np.ndarray:
     def panel_sums(x):
         """Simpson prefixes of x on its nodes 2, 4, ...: (dt/3) times the
         running sum of the two-interval panels x_2k + 4 x_2k+1 + x_2k+2."""
-        panels = x[..., :-2:2] + 4.0 * x[..., 1:-1:2] + x[..., 2::2]
-        return np.cumsum(panels, axis=-1) * (dt / 3.0)
+        panels = 4.0 * x[..., 1:-1:2]
+        panels += x[..., :-2:2]
+        panels += x[..., 2::2]
+        np.cumsum(panels, axis=-1, out=panels)
+        panels *= dt / 3.0
+        return panels
 
     q = np.empty_like(b)
     q[..., 0] = 0.0
