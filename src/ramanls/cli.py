@@ -410,6 +410,7 @@ def _tables(config: RunConfig):
             else:
                 path = base
             if "fidelity" in preset:
+                # figure reads no --omega-r-t-max: the default 7 phases of the plot.
                 yield path, FIDELITY_HEADER, _fidelity_block(
                     preset["fidelity"], config.omega_r_t_max, config.points)
             else:

@@ -5,16 +5,18 @@ RK4 loop kept here (an integration of the propagator from the identity,
 and the ``ode`` states stepped node by node on the state), the
 adiabatic-elimination effective Hamiltonian entry by entry and its
 closed-form population, the zero-detuning excited population in closed
-form, and the Newton solution of the self-consistent light-shift
-balance.  They are written from the definitions alone: none reads the
-package's spectral data, Rabi frequencies or RK4 map.  No package path
-calls them; they are kept only as the references the package's methods
-are checked against.
+form, the Newton solution of the self-consistent light-shift balance,
+and the fidelity of the AE and the light-shift resonance prescriptions.
+They are written from the definitions alone: none reads the package's
+spectral data, Rabi frequencies or RK4 map.  No package path calls
+them; they are kept only as the references the package's methods are
+checked against.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -125,3 +127,21 @@ def lightshift_balance(params: RamanParams) -> float:
         if abs(step) <= 1e-12 * max(abs(x), 1e-300):
             return x
     raise ValueError(f"light-shift Newton did not converge; last residual {f:.3e}")
+
+
+def fidelity_by_definition(params: RamanParams, phase: np.ndarray) -> np.ndarray:
+    """|<psi_ae(t)|psi_ls(t)>| from |0> at t = phase / Omega_AE, with the
+    two resonant detunings and the AE Rabi frequency written from their
+    definitions and the states from the exact unitary of h_new."""
+    d = params.delta_avg
+    o0_sq, o1_sq = abs(params.omega0) ** 2, abs(params.omega1) ** 2
+    # AE resonance: the diagonal entries of h_eff (``ae_h_eff``) are equal.
+    d_ae = (o1_sq - o0_sq) / (4.0 * d)
+    # delta = |o1|^2/(4 Delta + 2 delta) - |o0|^2/(4 Delta - 2 delta) to
+    # first order in delta/Delta.
+    d_ls = d_ae / (1.0 + (o0_sq + o1_sq) / (8.0 * d * d))
+    # At the AE resonance the two-level gap is the coupling alone.
+    omega_ae = abs(params.omega0) * abs(params.omega1) / (2.0 * abs(d))
+    psi_ae, psi_ls = (exact_unitary(h_new(replace(params, delta_2ph=dd)),
+                                    phase / omega_ae)[..., 0] for dd in (d_ae, d_ls))
+    return np.abs(np.einsum("ta,ta->t", psi_ae.conj(), psi_ls))

@@ -10,9 +10,9 @@ from ramanls.analysis import METHODS, amplitude_p, rabi_general, trace_populatio
 from ramanls.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, UsageError,
                          parse_complex_literal, parse_config)
 from ramanls.lippmann_schwinger import TimeGrid, required_intervals
-from ramanls.model import RamanParams, h_new
+from ramanls.model import RamanParams
 
-from propagator_oracle import exact_unitary
+from propagator_oracle import fidelity_by_definition
 
 
 FIDELITY = ["fidelity", "--delta-avg", "400", "--omega0", "120", "--omega1", "40"]
@@ -503,24 +503,6 @@ def test_fidelity_scenario(tmp_path):
     assert vals[0, 0] == 3.0
     assert vals[-1, 1] == pytest.approx(7.0)
     assert vals[:, 2].min() >= 0.99
-
-
-def fidelity_by_definition(params: RamanParams, phase: np.ndarray) -> np.ndarray:
-    """|<psi_ae(t)|psi_ls(t)>| from |0> at t = phase / Omega_AE, with the
-    two resonant detunings and the AE Rabi frequency written from their
-    definitions and the states from the exact unitary of h_new."""
-    d = params.delta_avg
-    o0_sq, o1_sq = abs(params.omega0) ** 2, abs(params.omega1) ** 2
-    # AE: the diagonal of h_eff, +-delta + |omega_j|^2/(2 Delta), balances.
-    d_ae = (o1_sq - o0_sq) / (4.0 * d)
-    # delta = |o1|^2/(4 Delta + 2 delta) - |o0|^2/(4 Delta - 2 delta) to
-    # first order in delta/Delta.
-    d_ls = d_ae / (1.0 + (o0_sq + o1_sq) / (8.0 * d * d))
-    # At the AE resonance the two-level gap is the coupling alone.
-    omega_ae = abs(params.omega0) * abs(params.omega1) / (2.0 * abs(d))
-    psi_ae, psi_ls = (exact_unitary(h_new(replace(params, delta_2ph=dd)),
-                                    phase / omega_ae)[..., 0] for dd in (d_ae, d_ls))
-    return np.abs(np.einsum("ta,ta->t", psi_ae.conj(), psi_ls))
 
 
 @pytest.mark.parametrize("argv, bases", [
