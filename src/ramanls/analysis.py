@@ -19,7 +19,6 @@ beating at 2r/Delta and at mu+ - mu-.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,12 +107,7 @@ def _ode(params, psi0, grid, order):
     for j in (4, 3, 2, 1):  # Horner: 1 + z (1 + z/2 (1 + z/3 (1 + z/4)))
         p = 1.0 + z * p / j
     g = p ** substeps
-    # g^i as (g^B)^q g^r with B = isqrt(n) + 1, from O(sqrt(n)) products.
-    b = math.isqrt(grid.n) + 1
-    low = np.cumprod(np.vstack([np.ones(3), np.tile(g, (b - 1, 1))]), axis=0)
-    g_b = low[-1] * g
-    high = np.cumprod(np.vstack([np.ones(3), np.tile(g_b, (b - 1, 1))]), axis=0)
-    growth = (high[:, None] * low).reshape(b * b, 3)[:grid.n + 1]
+    growth = np.cumprod(np.vstack([np.ones(3), np.broadcast_to(g, (grid.n, 3))]), axis=0)
     return (growth * (v.conj().T @ psi0)) @ v.T
 
 
@@ -125,10 +119,8 @@ def _beat(params, psi0, grid, omega, method):
     population reads."""
     if abs(psi0[2]) > 1e-12:
         raise ValueError(f"method {method} requires zero initial excited amplitude")
-    p_plus, p_minus = spectral_m0sq(params).projectors[:2, :2, :2]
-    beat = np.exp(1j * omega * grid.times)
-    two = np.outer(beat, p_plus @ psi0[:2]) + p_minus @ psi0[:2]
-    return np.concatenate([two, np.zeros((len(two), 1))], axis=1)
+    p_plus, p_minus = spectral_m0sq(params).projectors[:2]
+    return np.outer(np.exp(1j * omega * grid.times), p_plus @ psi0) + p_minus @ psi0
 
 
 def _ae(params, psi0, grid, order):

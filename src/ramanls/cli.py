@@ -2,13 +2,26 @@
 studies and figure presets, all emitted as CSV.
 
 ``SCENARIO_KEYS`` lists exactly the keys each scenario reads: every key
-is its flag ``--key`` and its config-file key alike.  Every scenario
-writes through one path: ``_tables`` yields (path, header, blocks) for
-each CSV, a block being the float columns of one trace or table plus its
-label, and ``_write_csv`` formats each block ``CHUNK_ROWS`` rows at a
-time, one ``%`` on a repeated row template per chunk.  Blocks are
-computed as they are written: a trace or compare holds one trace in
-memory at a time, and a sweep one chunk of points.
+is its flag ``--key`` and its config-file key alike, a flag winning over
+a config line.  ``parse_config`` converts each key's text once, by its
+rule in ``_PARSERS``, and ``_FIELDS`` stores the value in its RunConfig
+field; the drive keys, dt-end, method and order are combined instead:
+
+    delta-avg delta        finite float                params; delta 0 if absent
+    omega0 omega1          complex literal 'a+bi'      params
+    t-end / dt-end         finite float                t_end / dt-end/|delta-avg|
+    from to omega-r-t-max  finite float                sweep_from sweep_to omega_r_t_max
+    points / order         integer >= 1 / >= 0         points / methods
+    psi0                   three complex components    psi0, normalised
+    method / observable    names: METHODS/OBSERVABLES  methods / observables
+    out axis id            text                        out sweep_axis figure_id
+
+Every scenario writes through one path: ``_tables`` yields (path,
+header, blocks) for each CSV, a block being the float columns of one
+trace or table plus its label, and ``_write_csv`` formats each block
+``CHUNK_ROWS`` rows at a time, one ``%`` on a repeated row template per
+chunk.  Blocks are computed as they are written: a trace or compare
+holds one trace in memory at a time, and a sweep one chunk of points.
 
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
@@ -77,9 +90,9 @@ def _parse_float(key: str, text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise UsageError(f"malformed number for {key}: {text!r}") from None
+        raise UsageError(f"malformed number for --{key}: {text!r}") from None
     if not math.isfinite(value):
-        raise UsageError(f"{key} must be finite: {text!r}")
+        raise UsageError(f"--{key} must be finite: {text!r}")
     return value
 
 
@@ -87,9 +100,9 @@ def _parse_count(key: str, text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise UsageError(f"malformed number for {key}: {text!r}") from None
+        raise UsageError(f"malformed number for --{key}: {text!r}") from None
     if value < minimum:
-        raise UsageError(f"{key} must be >= {minimum}: {text!r}")
+        raise UsageError(f"--{key} must be >= {minimum}: {text!r}")
     return value
 
 
@@ -153,6 +166,26 @@ SCENARIO_KEYS = {
 }
 
 
+#: Each key's parse rule, called as ``rule(key, text)``.
+_PARSERS = {
+    **dict.fromkeys(("delta-avg", "delta", "t-end", "dt-end", "from", "to",
+                     "omega-r-t-max"), _parse_float),
+    "points": functools.partial(_parse_count, minimum=1),
+    "order": functools.partial(_parse_count, minimum=0),
+    **dict.fromkeys(("omega0", "omega1"), lambda _, text: parse_complex_literal(text)),
+    "psi0": lambda _, text: _parse_psi0(text),
+    "method": functools.partial(_parse_names, valid=METHODS),
+    "observable": functools.partial(_parse_names, valid=OBSERVABLES),
+    **dict.fromkeys(("out", "axis", "id"), lambda _, text: text),
+}
+
+#: The RunConfig field each key sets directly.
+_FIELDS = {"t-end": "t_end", "points": "points", "psi0": "psi0", "out": "out",
+           "axis": "sweep_axis", "from": "sweep_from", "to": "sweep_to",
+           "observable": "observables", "omega-r-t-max": "omega_r_t_max",
+           "id": "figure_id"}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -204,90 +237,63 @@ def values_from_text(text: str, keys) -> dict[str, str]:
 def parse_config(argv) -> RunConfig:
     """Parse argv (and the ``--config`` file it names) into a validated RunConfig."""
     flags = vars(_build_parser().parse_args(_attach_signed_values(argv)))
-    rc = RunConfig(scenario=flags.pop("scenario"))
-    keys = SCENARIO_KEYS[rc.scenario]
-    cfg: dict[str, str] = {}
+    scenario = flags.pop("scenario")
+    keys = SCENARIO_KEYS[scenario]
     config_file = flags.pop("config")
+    text = {k: v for k, v in flags.items() if v is not None}
     if config_file:
         path = Path(config_file)
         if not path.is_file():
             raise UsageError(f"config file not found: {config_file}")
-        cfg = values_from_text(path.read_text(), keys)
-    take = {**cfg, **{k: v for k, v in flags.items() if v is not None}}.get
+        text = {**values_from_text(path.read_text(), keys), **text}
+    values = {key: _PARSERS[key](key, text[key]) for key in keys if key in text}
+    rc = RunConfig(scenario, **{f: values[k] for k, f in _FIELDS.items() if k in values})
 
-    rc.out = take("out")
-    if take("psi0") is not None:
-        rc.psi0 = _parse_psi0(take("psi0"))
-
-    if rc.scenario != "figure":
-        if take("delta-avg") is None:
+    if scenario != "figure":
+        if "delta-avg" not in values:
             raise UsageError("missing required --delta-avg")
-        omega0, omega1 = take("omega0"), take("omega1")
-        if omega0 is None or omega1 is None:
+        if "omega0" not in values or "omega1" not in values:
             raise UsageError("missing required --omega0/--omega1")
-        delta = take("delta")
         try:
-            rc.params = RamanParams(
-                delta_avg=_parse_float("--delta-avg", take("delta-avg")),
-                delta_2ph=_parse_float("--delta", delta) if delta is not None else 0.0,
-                omega0=parse_complex_literal(omega0),
-                omega1=parse_complex_literal(omega1),
-            )
+            rc.params = RamanParams(values["delta-avg"], values.get("delta", 0.0),
+                                    values["omega0"], values["omega1"])
         except ValueError as exc:
             raise UsageError(str(exc)) from None
 
-    t_end, dt_end = take("t-end"), take("dt-end")
-    if t_end is not None and dt_end is not None:
+    if "t-end" in values and "dt-end" in values:
         raise UsageError("--t-end and --dt-end are mutually exclusive")
-    if t_end is not None:
-        rc.t_end = _parse_float("--t-end", t_end)
-    elif dt_end is not None:
-        rc.t_end = _parse_float("--dt-end", dt_end) / abs(rc.params.delta_avg)
+    if "dt-end" in values:
+        rc.t_end = values["dt-end"] / abs(rc.params.delta_avg)
     if rc.t_end is not None and not 0 < rc.t_end < math.inf:
         raise UsageError("--t-end must be positive and finite")
+    if not rc.omega_r_t_max > 0:
+        raise UsageError("--omega-r-t-max must be positive")
 
-    if take("points") is not None:
-        rc.points = _parse_count("--points", take("points"), 1)
-
-    if rc.scenario in ("evolve", "compare"):
-        method = take("method")
-        if method is None:
+    if scenario in ("evolve", "compare"):
+        names = values.get("method")
+        if names is None:
             raise UsageError("missing required --method")
-        order = 0 if take("order") is None else _parse_count("--order", take("order"), 0)
-        names = _parse_names("method", method, METHODS)
-        if rc.scenario == "evolve" and len(names) != 1:
+        if scenario == "evolve" and len(names) != 1:
             raise UsageError("evolve takes exactly one --method; use compare for lists")
-        rc.methods = [(name, order) for name in names]
+        rc.methods = [(name, values.get("order", 0)) for name in names]
         if rc.t_end is None:
             raise UsageError("missing required --t-end or --dt-end")
-    elif rc.scenario == "sweep":
-        axis = take("axis")
-        if axis not in SWEEP_AXES:
+    elif scenario == "sweep":
+        if rc.sweep_axis not in SWEEP_AXES:
             raise UsageError(f"--axis must be one of {', '.join(SWEEP_AXES)}")
-        rc.sweep_axis = axis
-        if take("from") is None or take("to") is None:
+        if rc.sweep_from is None or rc.sweep_to is None:
             raise UsageError("sweep needs --from and --to")
-        rc.sweep_from = _parse_float("--from", take("from"))
-        rc.sweep_to = _parse_float("--to", take("to"))
         if rc.points is None or rc.points < 2:
             raise UsageError("sweep needs --points >= 2")
-        if take("observable") is not None:
-            rc.observables = _parse_names("observable", take("observable"), OBSERVABLES)
-    elif rc.scenario == "fidelity":
-        if take("omega-r-t-max") is not None:
-            rc.omega_r_t_max = _parse_float("--omega-r-t-max", take("omega-r-t-max"))
-            if not rc.omega_r_t_max > 0:
-                raise UsageError("--omega-r-t-max must be positive")
-    else:
-        fid = take("id")
+    elif scenario == "figure":
+        fid = rc.figure_id
         if fid is None:
             raise UsageError("missing required --id")
         if fid not in PRESETS and fid not in PRESET_GROUPS:
             known = ", ".join(sorted(list(PRESETS) + list(PRESET_GROUPS)))
             raise UsageError(f"unknown figure id {fid!r}; valid: {known}")
-        if take("psi0") is not None and "fidelity" in PRESETS.get(fid, {}):
+        if "psi0" in values and "fidelity" in PRESETS.get(fid, {}):
             raise UsageError(f"figure {fid} is a fidelity study and reads no --psi0")
-        rc.figure_id = fid
     return rc
 
 

@@ -179,7 +179,7 @@ PSI0_COMPLEX = np.array([0.6, 0.8j, 0.0])
     pytest.param(5000, 0.5, FIG4, PSI0, id="5000-0.5"),     # one step per interval
     pytest.param(6, 0.25, FIG4, PSI0, id="6-0.25"),         # 300 substeps per interval
     pytest.param(2000, 2.0, COMPLEX, PSI0_COMPLEX, id="complex"),
-    pytest.param(48, 0.25, COMPLEX, PSI0_COMPLEX, id="48-0.25"),  # n + 1 = B^2
+    pytest.param(48, 0.25, COMPLEX, PSI0_COMPLEX, id="48-0.25"),  # 49 nodes, 36 substeps
 ])
 def test_trace_ode_matches_node_by_node_rk4(n, t_end, params, psi0):
     grid = TimeGrid(t_end=t_end, n=n)
@@ -238,6 +238,21 @@ def test_trace_m0eff_matches_block_propagator():
             t = trace.times[i]
             u = mat_func_h3(spec, lambda lam: np.exp(1j * np.sqrt(lam) * t))
             assert trace.p1[i] == pytest.approx(abs(u[1] @ psi0[:2]) ** 2, abs=1e-13)
+
+
+def test_two_level_beats_ignore_an_accepted_excited_amplitude():
+    # An excited amplitude up to 1e-12 is accepted; the projectors of the
+    # beat have a zero excited row and column, so it changes no bit.
+    grid = TimeGrid(t_end=0.1, n=200)
+    tiny = np.array([1.0, 0.0, 1e-13], dtype=complex)
+    for method in ("ae", "m0eff"):
+        for params in (FIG4, COMPLEX):
+            got = trace_populations(method, params, tiny, grid)
+            want = trace_populations(method, params, PSI0, grid)
+            assert np.all(got.pe == 0.0)
+            for a, b in zip((got.p0, got.p1, got.pe, got.norm),
+                            (want.p0, want.p1, want.pe, want.norm)):
+                assert np.array_equal(a, b), method
 
 
 def test_trace_rejections():

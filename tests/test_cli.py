@@ -1,6 +1,6 @@
 import argparse
 import io
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -175,6 +175,40 @@ def test_every_flag_is_a_config_key(tmp_path):
                 assert ("unknown config key" in str(exc)) == (key == "config"), (scenario, key)
             else:
                 assert key != "config"
+
+
+#: A valid value for every key of each scenario; the leading minus signs
+#: reach a flag through ``_attach_signed_values`` but a config line as is.
+TRACE_VALUES = {"delta-avg": "400", "delta": "-16", "omega0": "200",
+                 "omega1": "-30+70i", "t-end": "0.25", "dt-end": "100",
+                 "points": "1000", "psi0": "-0.6,0.8i,0", "out": "trace.csv",
+                 "order": "2"}
+KEY_VALUES = {
+    "evolve": {**TRACE_VALUES, "method": "ls-S"},
+    "compare": {**TRACE_VALUES, "method": "ae,ode,ls-M"},
+    "sweep": {"delta-avg": "400", "delta": "-16", "omega0": "120+160i",
+              "omega1": "-30+70i", "points": "11", "out": "sweep.csv",
+              "axis": "omega0", "from": "-300", "to": "300",
+              "observable": "rabi-ae,amplitude"},
+    "fidelity": {"delta-avg": "-300", "omega0": "120+160i", "omega1": "-30+70i",
+                 "points": "51", "out": "fidelity.csv", "omega-r-t-max": "3.5"},
+    "figure": {"id": "3a", "points": "200", "psi0": "-0.6,0.8i,0", "out": "figs"},
+}
+
+
+def test_each_key_parses_alike_from_a_flag_and_a_config_line(tmp_path):
+    for scenario, values in KEY_VALUES.items():
+        assert set(values) == SCENARIO_KEYS[scenario], scenario
+        for key, value in values.items():
+            # t-end and dt-end exclude each other.
+            unused = {key, "t-end" if key == "dt-end" else "dt-end"}
+            base = [scenario] + [f"--{k}={v}" for k, v in values.items()
+                                 if k not in unused]
+            flag = asdict(parse_config(base + [f"--{key}", value]))
+            line = asdict(parse_config(
+                base + ["--config", config_file(tmp_path, f"{key} = {value}\n")]))
+            assert np.array_equal(flag.pop("psi0"), line.pop("psi0")), (scenario, key)
+            assert flag == line, (scenario, key)
 
 
 def test_keys_a_scenario_does_not_read_are_rejected(tmp_path):
