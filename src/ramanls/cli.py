@@ -18,10 +18,14 @@ field; the drive keys, dt-end, method and order are combined instead:
 
 Every scenario writes through one path: ``_tables`` yields (path,
 header, blocks) for each CSV, a block being the float columns of one
-trace or table plus its label, and ``_write_csv`` formats each block
-``CHUNK_ROWS`` rows at a time, one ``%`` on a repeated row template per
-chunk.  Blocks are computed as they are written: a trace or compare
-holds one trace in memory at a time, and a sweep one chunk of points.
+trace or table plus its label, and ``_write_csv`` writes each block
+``FORMAT_ROWS`` rows at a time through ``_format_rows``, which gives
+every cell the bytes of ``'%.17g' % cell`` from numpy arithmetic: exact
+17-digit rounding by a two-product, digits from a 4-digit table, one
+template per (exponent, sign, significant digits).  Only cells in
+exponent notation go through Python's ``%``.  Blocks are computed as
+they are written: a trace or compare holds one trace in memory at a
+time, and a sweep one chunk of ``CHUNK_ROWS`` points.
 
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
@@ -35,7 +39,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -64,8 +67,11 @@ OBSERVABLES = {
     "rabi-ae": lambda p: rabi_ae(p),
     "amplitude": lambda p: amplitude_p(p),
 }
-#: Rows formatted per write in ``_write_csv``, and points per sweep block.
+#: Points per sweep block.
 CHUNK_ROWS = 4096
+#: Rows per ``_format_rows`` call in ``_write_csv``.  At six columns each
+#: temporary is 48 kB; 4096-row calls measured slower and larger.
+FORMAT_ROWS = 1024
 TRACE_HEADER = ("t", "dt_times_Delta", "p0", "p1", "pe", "norm", "method")
 FIDELITY_HEADER = ("ratio", "omega_r_t", "fidelity")
 
@@ -204,13 +210,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_signed_values(argv) -> list[str]:
-    """Write '--key -1e-3' as '--key=-1e-3'.  argparse takes a value that
-    starts with '-' for an option unless it is a plain negative number;
-    here '-' followed by a digit or '.' always starts a value."""
+    """Write '--key value' as '--key=value'.  argparse takes a value that
+    starts with '-', such as '-i', for an option unless it is a plain
+    negative number; here the token after a key flag is its value unless
+    it is itself an option name."""
     flags = {f"--{k}" for keys in SCENARIO_KEYS.values() for k in (*keys, "config")}
+    options = flags | {"-h", "--help"}
     out: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if out and out[-1] in flags and re.match(r"-[\d.]", arg):
+        if out and out[-1] in flags and arg.split("=", 1)[0] not in options:
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -332,22 +340,161 @@ PRESET_GROUPS = {"3": ["3a", "3b", "3c"], "4": ["4a", "4b"]}
 
 
 # ----------------------------------------------------------------------
-# output
+# output: '%.17g' cells, formatted a chunk at a time
+#
+# '%.17g' rounds |x| half to even to 17 significant digits D with decimal
+# exponent X, and writes fixed notation for X in [-4, 16]: the sign, '0.'
+# and -X-1 zeros when X < 0, the digits with the point after digit X, and
+# no trailing fraction zeros.  Each such cell is laid out as 40 bytes: the
+# sign, the five bytes of a '0.000' prefix, then each of the 17 digits
+# followed by one slot that holds the point after digit X, the cell
+# separator after the last digit and NUL elsewhere.  Those bytes are the
+# AND of the digit words (4-digit groups from a table, 0xFF in every byte
+# that is not a digit) and the template of the cell's class (X, sign,
+# significant digits): 0xFF over every digit shown, NUL over stripped
+# zeros, the literal bytes elsewhere.  Deleting every NUL of a chunk
+# leaves its text.  Exponent-notation cells, non-finite ones included,
+# keep Python's own '%.17g'.
+
+#: 10**k for k = 0..20, each exact in binary64.
+_POW10 = np.array([float(10 ** k) for k in range(21)])
+
+
+def _split(a):
+    """Veltkamp's split of binary64 ``a`` into two 26-bit halves summing to ``a``."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _times_pow10(a, k):
+    """Dekker's two-product: (p, err) with p = fl(a * 10**k) and
+    p + err = a * 10**k exactly."""
+    b = _POW10.take(k)
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    p = a * b
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _round17(x):
+    """(D, X, fixed): for every cell '%.17g' writes in fixed notation,
+    its 17 digits D in [1e16, 1e17) and their decimal exponent X, with
+    D = X = 0 for a zero.  Cells not ``fixed`` read D = X = 0."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):
+        X0 = np.floor(np.log10(a))  # at most one off, near powers of ten
+    zero = a == 0
+    fixed = zero | ((X0 >= -4) & (X0 <= 16))
+    a = np.where(fixed, a, 0.0)
+    X = np.where(fixed & ~zero, X0, 0).astype(np.intp)
+    hi, lo = _times_pow10(a, 16 - X)
+    # X is corrected from the exact product hi + lo against 1e16 and 1e17,
+    # never from its rounding: just below 0.1, hi + lo < 1e16 rounds to 1e16.
+    shift = (((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp)
+             - ((hi < 1e16) | ((hi == 1e16) & (lo < 0))))
+    shift[zero] = 0
+    X += shift
+    fixed &= (X >= -4) & (X <= 16)
+    redo = np.flatnonzero(fixed & (shift != 0))
+    hi[redo], lo[redo] = _times_pow10(a[redo], 16 - X[redo])
+    # hi >= 1e16 is an even integer, so hi plus lo rounded half to even is
+    # hi + lo rounded half to even.  It never reaches 1e17: the largest
+    # double below each 10**n, n = -3..17, lies at least 8.3 units of the
+    # 17th digit below it.
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    D[~fixed] = 0
+    X[~fixed] = 0
+    return D, X, fixed
+
+
+@functools.cache
+def _cell_tables():
+    """The tables of ``_format_rows``, built by numpy arithmetic on first
+    use:
+
+    * the word of every 4-digit group 0..9999: its digits in the even
+      bytes, 0xFF in the slots between them;
+    * the word of the leading digit 0..9: the digit in byte 6, 0xFF in
+      every other byte;
+    * by group position i and value, the significant digits of D when
+      group i (digits 4i+1..4i+4) holds its last nonzero digit, 0 for 0;
+    * the five template words of every class ((X + 4) * 2 + sign) * 18 +
+      significant digits, one row per word.
+    """
+    digits = np.indices((10,) * 4).reshape(4, -1)  # most significant first
+    spread = np.full((10_000, 8), 0xFF, np.uint8)
+    spread[:, ::2] = digits.T + ord("0")
+    lead = spread[:10].copy()
+    lead[:, :6] = 0xFF
+    position = np.arange(1, 5)[:, None]
+    last = 4 * position - 3 + ((digits != 0) * position).max(0)
+    last[:, 0] = 0
+
+    # Class axes (X, sign, significant digits), then the 40 bytes of a cell.
+    x = np.arange(-4, 17)[:, None, None, None]
+    neg = np.arange(2)[:, None, None]
+    sig = np.arange(18)[:, None]
+    template = np.zeros((21, 2, 18, 40), np.uint8)
+    template[..., :1] = neg * ord("-")
+    template[..., 1:6] = np.where((np.arange(5) < 1 - x) & (x < 0),
+                                  np.frombuffer(b"0.000", np.uint8), 0)
+    template[..., 6::2] = np.where(np.arange(17) < np.maximum(sig, x + 1), 0xFF, 0)
+    template[..., 7::2] = np.where((np.arange(17) == x) & (sig > x + 1) & (x >= 0),
+                                   ord("."), 0)
+    template[..., 39] = ord(",")
+    return (spread.view(np.uint64).ravel(), lead.view(np.uint64).ravel(),
+            last.astype(np.int8), template.reshape(-1, 40).view(np.uint64).T.copy())
+
+
+def _format_rows(values: np.ndarray, tail: str) -> str:
+    """The CSV text of the rows of a 2-D float array: every cell as
+    ``'%.17g' % cell``, comma-separated, each row ending in ``tail``,
+    which holds no NUL."""
+    group_words, lead_words, group_last, template_words = _cell_tables()
+    n, c = values.shape
+    x = np.asarray(values, np.float64).ravel()
+    D, X, fixed = _round17(x)
+    top = D // 10 ** 8
+    lead = top // 10 ** 8
+    high = top - lead * 10 ** 8
+    low = D - top * 10 ** 8
+    groups = (high // 10 ** 4, high % 10 ** 4, low // 10 ** 4, low % 10 ** 4)
+    sig = np.maximum.reduce([group_last[i].take(g) for i, g in enumerate(groups)])
+    np.maximum(sig, 1, out=sig)
+    cls = ((X + 4) * 2 + np.signbit(x)) * 18 + sig
+
+    end = tail.encode()
+    end_words = np.frombuffer(end + bytes(-len(end) % 8), np.uint64)
+    words = np.empty((n, 5 * c + len(end_words)), np.uint64)
+    words[:, 5 * c:] = end_words
+    cells = words[:, :5 * c].reshape(n, c, 5)
+    cells[..., 0] = (lead_words.take(lead) & template_words[0].take(cls)).reshape(n, c)
+    for i, g in enumerate(groups, 1):
+        cells[..., i] = (group_words.take(g) & template_words[i].take(cls)).reshape(n, c)
+    text = words.view(np.uint8)[:, :40 * c].reshape(n, c, 40)
+    text[:, -1, 39] = 0  # the tail follows the last cell
+    rows, cols = np.divmod(np.flatnonzero(~fixed), c)
+    if len(rows):
+        # At most 24 bytes, as in '-1.2345678901234567e-308'.
+        exponent = np.array([b"%.17g" % v for v in x[~fixed].tolist()], "S24")
+        text[rows, cols, :39] = 0
+        text[rows, cols, :24] = exponent[:, None].view(np.uint8)
+    return words.tobytes().translate(None, b"\0").decode()
+
 
 def _write_csv(fh, header, blocks) -> None:
     """Write the header, then every (columns, label) block of an open file:
-    one row per entry of its equal-length float columns, each at 17
-    significant digits, ending in the label cell unless the label is None.
-    Each chunk of ``CHUNK_ROWS`` rows is stacked into one flat list of
-    Python floats and formatted by one ``%`` on the row template repeated
-    once per row, then written at once."""
+    one row per entry of its equal-length float columns, each cell as
+    ``'%.17g' % cell``, ending in the label cell unless the label is None.
+    Each chunk of ``FORMAT_ROWS`` rows is formatted by ``_format_rows`` in
+    numpy and written at once."""
     fh.write(",".join(header) + "\n")
     for columns, label in blocks:
-        cells = ["%.17g"] * len(columns) + ([] if label is None else [label])
-        row = ",".join(cells) + "\n"
-        for start in range(0, len(columns[0]), CHUNK_ROWS):
-            chunk = np.column_stack([c[start:start + CHUNK_ROWS] for c in columns])
-            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+        tail = ("" if label is None else "," + label) + "\n"
+        for start in range(0, len(columns[0]), FORMAT_ROWS):
+            chunk = np.column_stack([c[start:start + FORMAT_ROWS] for c in columns])
+            fh.write(_format_rows(chunk, tail))
         del columns  # before the next block is computed
 
 

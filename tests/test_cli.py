@@ -106,6 +106,21 @@ def test_signed_values_parse_as_their_attached_form(capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+def test_a_value_that_is_no_number_parses_alike_in_every_spelling(tmp_path):
+    # '-i' is no plain negative number, so argparse alone would read it as
+    # an option; spaced, attached and on a config line it is omega1 = -i.
+    base = ["evolve", "--delta-avg", "400", "--omega0", "1", "--t-end", "1",
+            "--method", "ae"]
+    cfg = config_file(tmp_path, "omega1 = -i\n")
+    spellings = {"spaced": ["--omega1", "-i"], "attached": ["--omega1=-i"],
+                 "config": ["--config", cfg]}
+    for name, args in spellings.items():
+        assert cli.main(base + args + ["--out", str(tmp_path / f"{name}.csv")]) == EXIT_OK
+    assert parse_config(base + ["--omega1", "-i"]).params.omega1 == -1j
+    texts = {(tmp_path / f"{name}.csv").read_bytes() for name in spellings}
+    assert len(texts) == 1
+
+
 def test_parse_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
