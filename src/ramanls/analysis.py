@@ -25,7 +25,7 @@ import numpy as np
 
 from .lippmann_schwinger import (TimeGrid, Variant, _u0_table, apply_normalized,
                                  _initial_state, iterate)
-from .model import RamanParams, _modulus, _raman_block, h_ae, h_new, spectral_m0sq
+from .model import RamanParams, _modulus, h_ae, h_new, spectral_m0sq
 from .numerics import eig_h3
 from .propagators import mode_factors, rk4_steps, state_table
 
@@ -45,7 +45,7 @@ class Trace:
 def rabi_ae(params: RamanParams) -> float:
     """Effective Rabi frequency of the adiabatic-elimination model: the gap
     2r/|Delta| of h_eff = -T/Delta + c I, T the traceless Raman block."""
-    return 2.0 * _raman_block(params)[2] / np.abs(params.delta_avg)
+    return 2.0 * params.raman_block[2] / np.abs(params.delta_avg)
 
 
 def rabi_exact_delta0(params: RamanParams) -> float:
@@ -58,13 +58,13 @@ def rabi_exact_delta0(params: RamanParams) -> float:
 def rabi_general(params: RamanParams) -> float:
     """Effective Rabi frequency mu_plus - mu_minus of the split square,
     taken as 2r/(mu_plus + mu_minus) so that weak drives do not cancel."""
-    _, _, r, mu_plus_sq, mu_minus_sq = _raman_block(params)
+    _, _, r, mu_plus_sq, mu_minus_sq = params.raman_block
     return 2.0 * r / (np.sqrt(mu_plus_sq) + np.sqrt(mu_minus_sq))
 
 
 def delta_resonant_ae(params: RamanParams) -> float:
     """Two-photon detuning cancelling the AE effective detuning."""
-    _raman_block(params)  # the overflow check
+    params.raman_block  # the overflow check
     return -params.omega_imbalance / (4.0 * params.delta_avg)
 
 
@@ -72,7 +72,7 @@ def delta_resonant_lightshift(params: RamanParams) -> float:
     """Resonant detuning in closed form: the light-shift balance
     delta = |omega1|^2/(4 Delta + 2 delta) - |omega0|^2/(4 Delta - 2 delta)
     linearised in delta/Delta."""
-    _raman_block(params)  # the overflow check: d^4 and every |omega|^2 fit
+    params.raman_block  # the overflow check: d^4 and every |omega|^2 fit
     d = params.delta_avg
     return -2.0 * d * params.omega_imbalance / (8.0 * d * d + params.omega_sq)
 
@@ -80,7 +80,7 @@ def delta_resonant_lightshift(params: RamanParams) -> float:
 def amplitude_p(params: RamanParams) -> float:
     """Transfer oscillation amplitude |b|^2/r^2 of the effective two-level
     model, from the closed form of the Raman block."""
-    _, b, r, _, _ = _raman_block(params)
+    _, b, r, _, _ = params.raman_block
     if (r == 0.0).any():
         raise ValueError("amplitude undefined: degenerate Raman block")
     return np.square(_modulus(b) / r)
@@ -106,9 +106,13 @@ def _ode(params, psi0, grid, order):
     p = np.ones(3, dtype=complex)
     for j in (4, 3, 2, 1):  # Horner: 1 + z (1 + z/2 (1 + z/3 (1 + z/4)))
         p = 1.0 + z * p / j
-    g = p ** substeps
-    growth = np.cumprod(np.vstack([np.ones(3), np.broadcast_to(g, (grid.n, 3))]), axis=0)
-    return (growth * (v.conj().T @ psi0)) @ v.T
+    # Filled, accumulated and scaled in place, so that one (n+1, 3) table
+    # is alive beside the states (71 MB each at n = 1.47e6).
+    growth = np.empty((grid.n + 1, 3), dtype=complex)
+    growth[0], growth[1:] = 1.0, p ** substeps
+    np.cumprod(growth, axis=0, out=growth)
+    growth *= v.conj().T @ psi0
+    return growth @ v.T
 
 
 def _beat(params, psi0, grid, omega, method):

@@ -3,9 +3,14 @@ studies and figure presets, all emitted as CSV.
 
 ``SCENARIO_KEYS`` lists exactly the keys each scenario reads: every key
 is its flag ``--key`` and its config-file key alike, a flag winning over
-a config line.  ``parse_config`` converts each key's text once, by its
-rule in ``_PARSERS``, and ``_FIELDS`` stores the value in its RunConfig
-field; the drive keys, dt-end, method and order are combined instead:
+a config line.  ``parse_config`` splits argv by that table alone: the
+scenario first, then ``--key value`` or ``--key=value``, where the token
+after a key flag is its value unless it is itself an option name (so
+``--omega1 -i`` sets omega1); the last of a repeated key wins, any other
+token is a one-line usage error, and ``-h`` lists the scenarios or the
+keys of one.  It converts each key's text once, by its rule in
+``_PARSERS``, and ``_FIELDS`` stores the value in its RunConfig field;
+the drive keys, dt-end, method and order are combined instead:
 
     delta-avg delta        finite float                params; delta 0 if absent
     omega0 omega1          complex literal 'a+bi'      params
@@ -36,7 +41,6 @@ large for memory included).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
@@ -161,7 +165,7 @@ _TRACE_KEYS = ("delta-avg", "delta", "omega0", "omega1", "t-end", "dt-end",
                "points", "psi0", "out", "method", "order")
 
 #: Each scenario mapped to exactly the keys it reads.  Each key is at once
-#: the flag ``--key``, the config-file key and the argparse dest.
+#: the flag ``--key`` and the config-file key.
 SCENARIO_KEYS = {
     "evolve": _TRACE_KEYS,
     "compare": _TRACE_KEYS,
@@ -192,37 +196,10 @@ _FIELDS = {"t-end": "t_end", "points": "points", "psi0": "psi0", "out": "out",
            "id": "figure_id"}
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ramanls",
-        description="Simulate driven three-level Raman transitions and the "
-                    "approximation ladder around them.",
-    )
-    sub = parser.add_subparsers(dest="scenario", required=True)
-    for scenario, keys in SCENARIO_KEYS.items():
-        # No abbreviations: `fidelity --delta` must not mean --delta-avg.
-        p = sub.add_parser(scenario, allow_abbrev=False)
-        p.add_argument("--config", help="key = value file; flags take precedence")
-        for key in keys:
-            p.add_argument(f"--{key}", dest=key)
-    return parser
-
-
-def _attach_signed_values(argv) -> list[str]:
-    """Write '--key value' as '--key=value'.  argparse takes a value that
-    starts with '-', such as '-i', for an option unless it is a plain
-    negative number; here the token after a key flag is its value unless
-    it is itself an option name."""
-    flags = {f"--{k}" for keys in SCENARIO_KEYS.values() for k in (*keys, "config")}
-    options = flags | {"-h", "--help"}
-    out: list[str] = []
-    for arg in sys.argv[1:] if argv is None else argv:
-        if out and out[-1] in flags and arg.split("=", 1)[0] not in options:
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+#: Every option name of any scenario.  The token after a key flag is its
+#: value unless it is one of these, so '--omega1 -i' sets omega1.
+_OPTIONS = {f"--{key}" for keys in SCENARIO_KEYS.values() for key in keys} | {
+    "--config", "-h", "--help"}
 
 
 def values_from_text(text: str, keys) -> dict[str, str]:
@@ -243,13 +220,38 @@ def values_from_text(text: str, keys) -> dict[str, str]:
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse argv (and the ``--config`` file it names) into a validated RunConfig."""
-    flags = vars(_build_parser().parse_args(_attach_signed_values(argv)))
-    scenario = flags.pop("scenario")
+    """Parse argv (and the ``--config`` file it names) into a validated
+    RunConfig.  ``-h`` or ``--help`` prints the scenarios, or the keys of
+    the scenario, and raises SystemExit(0)."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    scenario = args[0] if args else None
+    if "-h" in args or "--help" in args:
+        if scenario in SCENARIO_KEYS:
+            print(f"usage: ramanls {scenario} --key value | --key=value ...; keys:",
+                  *(f"--{key}" for key in SCENARIO_KEYS[scenario]), "--config", sep="\n  ")
+        else:
+            print("usage: ramanls SCENARIO -h | SCENARIO --key value ...; scenarios:",
+                  *SCENARIO_KEYS, sep="\n  ")
+        raise SystemExit(EXIT_OK)
+    if scenario not in SCENARIO_KEYS:
+        raise UsageError(("missing scenario" if scenario is None else
+                          f"unknown scenario {scenario!r}")
+                         + f"; valid: {', '.join(SCENARIO_KEYS)}")
     keys = SCENARIO_KEYS[scenario]
-    config_file = flags.pop("config")
-    text = {k: v for k, v in flags.items() if v is not None}
-    if config_file:
+    flags = {f"--{key}" for key in (*keys, "config")}
+    text: dict[str, str] = {}
+    tokens = iter(args[1:])
+    for token in tokens:
+        flag, attached, value = token.partition("=")
+        if flag not in flags:
+            raise UsageError(f"unrecognized arguments: {token}")
+        if not attached:
+            value = next(tokens, None)
+            if value is None or value.partition("=")[0] in _OPTIONS:
+                raise UsageError(f"argument {flag}: expected one argument")
+        text[flag[2:]] = value
+    config_file = text.pop("config", None)
+    if config_file is not None:
         path = Path(config_file)
         if not path.is_file():
             raise UsageError(f"config file not found: {config_file}")

@@ -5,14 +5,15 @@ angular frequency in rad/us (displayed as "MHz" by the CLI), time in us.
 Two interaction pictures are used: the usual one behind adiabatic
 elimination (``h_ae``) and the shifted one whose Hamiltonian squares into
 a block-diagonal part plus a small off-diagonal remainder (``h_new``).
-The upper 2x2 (Raman) block of that part is solved once, in closed form,
-by ``_raman_block``: every eigenvalue, projector, Rabi frequency and
-amplitude of the package, and the AE effective Hamiltonian, read it, and
-none cancels at weak drive.
+The upper 2x2 (Raman) block of that part is solved in closed form, once
+per ``RamanParams`` instance, by ``RamanParams.raman_block``: every
+eigenvalue, projector, Rabi frequency and amplitude of the package, and
+the AE effective Hamiltonian, read it, and none cancels at weak drive.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,9 +29,12 @@ class RamanParams:
     omega0, omega1 : complex Rabi frequencies of the two drives
 
     Any field may be a numpy array that broadcasts with the others, one
-    parameter point per entry; ``_raman_block`` and the Rabi frequencies,
+    parameter point per entry; ``raman_block`` and the Rabi frequencies,
     resonance detunings and amplitude of ``analysis`` then return arrays
-    of that shape.
+    of that shape.  The Raman block is computed once per instance, on
+    first use, and every reader shares it, so fields (arrays included)
+    are not mutated after construction; ``dataclasses.replace`` makes a
+    new instance with a block of its own.
     """
 
     delta_avg: float
@@ -44,6 +48,49 @@ class RamanParams:
             raise ValueError("RamanParams entries must be finite")
         if np.equal(self.delta_avg, 0.0).any():
             raise ValueError("average detuning must be nonzero")
+
+    @functools.cached_property
+    def raman_block(self):
+        """The upper 2x2 block of m0sq as c I + [[a, b], [b*, -a]], in
+        closed form, solved on first use and kept on the instance.
+
+        ``(a, b, r, mu_plus_sq, mu_minus_sq)`` with r = hypot(a, |b|),
+        half the eigenvalue gap, elementwise over broadcasting array
+        fields.  mu_plus_sq = c + r sums positive terms, and mu_minus_sq =
+        det/mu_plus_sq with det a sum of squares, so neither cancels at
+        weak drive and mu_minus_sq is never negative.  det grows as
+        delta_avg^4: parameters whose squares or det leave double range
+        raise ValueError, and so do parameters whose squares all
+        underflow to zero, where mu_plus_sq = 0 leaves mu_minus_sq
+        undefined.  The message names the first such point, and nothing
+        is kept, so every access raises it again.  Scalars and arrays
+        take the same numpy ufuncs, so an array entry equals the scalar
+        result at that point bit for bit.
+        """
+        d, dd = self.delta_avg, self.delta_2ph
+        with np.errstate(over="ignore", invalid="ignore"):
+            o0_abs, o1_abs = _modulus(self.omega0), _modulus(self.omega1)
+            o0_sq, o1_sq = np.square(o0_abs), np.square(o1_abs)
+            a = 0.5 * dd * d + 0.125 * (o0_sq - o1_sq)
+            # The ufunc, not the operator: on numpy scalars ``*`` rounds a
+            # complex product differently from the array loop.
+            b = np.multiply(0.25 * self.omega0, np.conj(self.omega1))
+            r = np.hypot(a, _modulus(b))
+            mu_plus_sq = (0.25 * (np.square(d) + np.square(dd))
+                          + 0.125 * (o0_sq + o1_sq) + r)
+            det = (np.square((d - dd) * (d + dd)) + np.square(d + dd) * o1_sq
+                   + np.square(d - dd) * o0_sq)
+            overflow = ~np.isfinite(mu_plus_sq + det)  # |a|, |b| <= r <= mu_plus_sq
+        bad = overflow | (mu_plus_sq == 0.0)
+        if bad.any():
+            i = np.argmax(bad)
+            at = [np.broadcast_to(v, bad.shape).flat[i]
+                  for v in (d, dd, o0_abs, o1_abs)]
+            kind = "overflow" if overflow.flat[i] else "underflow"
+            raise ValueError(
+                f"parameters {kind} double precision: delta_avg = {at[0]:g}, "
+                f"delta = {at[1]:g}, |omega0| = {at[2]:g}, |omega1| = {at[3]:g}")
+        return a, b, r, mu_plus_sq, det / (16.0 * mu_plus_sq)
 
     @property
     def omega_sq(self) -> float:
@@ -100,11 +147,11 @@ def split_square(params: RamanParams) -> np.ndarray:
     """The off-diagonal remainder eps = h_new(params)^2 - M0^2.
 
     M0^2 is the block-diagonal part of the square, solved in closed form
-    by ``_raman_block``.  eps vanishes identically at zero two-photon
-    detuning.  Parameters whose squares leave double range raise
-    ValueError.
+    by ``RamanParams.raman_block``.  eps vanishes identically at zero
+    two-photon detuning.  Parameters whose squares leave double range
+    raise ValueError.
     """
-    _raman_block(params)  # the overflow check
+    params.raman_block  # the overflow check
     # Squaring h_new puts -(delta_2ph/4) sigma3*omega in the corner block.
     sigma3_om = np.array([params.omega0, -params.omega1], dtype=complex)
     eps = np.zeros((3, 3), dtype=complex)
@@ -119,46 +166,6 @@ def _modulus(z):
     return np.hypot(np.real(z), np.imag(z))
 
 
-def _raman_block(params: RamanParams):
-    """The upper 2x2 block of m0sq as c I + [[a, b], [b*, -a]], in closed form.
-
-    Returns ``(a, b, r, mu_plus_sq, mu_minus_sq)`` with r = hypot(a, |b|),
-    half the eigenvalue gap, elementwise over broadcasting array fields.
-    mu_plus_sq = c + r sums positive terms, and mu_minus_sq =
-    det/mu_plus_sq with det a sum of squares, so neither cancels at weak
-    drive and mu_minus_sq is never negative.  det grows as delta_avg^4:
-    parameters whose squares or det leave double range raise ValueError,
-    and so do parameters whose squares all underflow to zero, where
-    mu_plus_sq = 0 leaves mu_minus_sq undefined.  The message names the
-    first such point.  Scalars and arrays take the same numpy ufuncs, so
-    an array entry equals the scalar result at that point bit for bit.
-    """
-    d, dd = params.delta_avg, params.delta_2ph
-    with np.errstate(over="ignore", invalid="ignore"):
-        o0_abs, o1_abs = _modulus(params.omega0), _modulus(params.omega1)
-        o0_sq, o1_sq = np.square(o0_abs), np.square(o1_abs)
-        a = 0.5 * dd * d + 0.125 * (o0_sq - o1_sq)
-        # The ufunc, not the operator: on numpy scalars ``*`` rounds a
-        # complex product differently from the array loop.
-        b = np.multiply(0.25 * params.omega0, np.conj(params.omega1))
-        r = np.hypot(a, _modulus(b))
-        mu_plus_sq = 0.25 * (np.square(d) + np.square(dd)) + 0.125 * (o0_sq + o1_sq) + r
-        det = (np.square((d - dd) * (d + dd)) + np.square(d + dd) * o1_sq
-               + np.square(d - dd) * o0_sq)
-        overflow = ~np.isfinite(mu_plus_sq + det)  # |a|, |b| <= r <= mu_plus_sq
-    bad = overflow | (mu_plus_sq == 0.0)
-    if bad.any():
-        i = np.argmax(bad)
-        at = [np.broadcast_to(v, bad.shape).flat[i]
-              for v in (d, dd, o0_abs, o1_abs)]
-        kind = "overflow" if overflow.flat[i] else "underflow"
-        raise ValueError(
-            f"parameters {kind} double precision: delta_avg = {at[0]:g}, "
-            f"delta = {at[1]:g}, |omega0| = {at[2]:g}, |omega1| = {at[3]:g}")
-    mu_minus_sq = det / (16.0 * mu_plus_sq)
-    return a, b, r, mu_plus_sq, mu_minus_sq
-
-
 def spectral_m0sq(params: RamanParams) -> SpectralData:
     """Spectral decomposition of m0sq: eigenvalues and 3x3 projectors.
 
@@ -167,7 +174,7 @@ def spectral_m0sq(params: RamanParams) -> SpectralData:
     the axes.  The excited slot has the detuning-independent eigenvalue
     (delta_avg^2 + omega_sq)/4.
     """
-    a, b, r, mu_plus_sq, mu_minus_sq = _raman_block(params)
+    a, b, r, mu_plus_sq, mu_minus_sq = params.raman_block
     d = params.delta_avg
     t = np.diag([1.0, -1.0]) if r == 0 else np.array([[a, b], [np.conj(b), -a]]) / r
     proj = np.zeros((3, 3, 3), dtype=complex)

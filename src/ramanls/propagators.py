@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .model import RamanParams, SpectralData, _raman_block
+from .model import RamanParams, SpectralData
 from .numerics import eig_h3, sinc_sqrt
 
 
@@ -46,7 +46,7 @@ def ae_model(params: RamanParams) -> np.ndarray:
     """Effective 2x2 Hamiltonian after adiabatic elimination of the excited
     level: h_eff = -T/Delta - (|Omega0|^2 + |Omega1|^2)/(8 Delta) I, with
     T = [[a, b], [b*, -a]] the traceless Raman block."""
-    a, b, *_ = _raman_block(params)
+    a, b, *_ = params.raman_block
     d = params.delta_avg
     t = np.array([[a, b], [np.conj(b), -a]], dtype=complex)
     return -t / d - np.diag(np.full(2, params.omega_sq / (8.0 * d)))

@@ -1,9 +1,9 @@
-import argparse
 import io
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ramanls import cli
 from ramanls.analysis import METHODS, amplitude_p, rabi_general, trace_populations
@@ -87,8 +87,8 @@ def test_parsing_twice_gives_independent_configs():
 
 
 def test_signed_values_parse_as_their_attached_form(capsys):
-    # argparse reads a value such as -1e-3 or -30+70i as an option unless
-    # it is attached with '='; both spellings must give the same config.
+    # A value such as -1e-3 or -30+70i starts with '-' as an option does;
+    # spaced and attached with '=', it must give the same config.
     evolve = ["evolve", "--delta-avg", "400", "--omega0", "1", "--omega1", "1",
               "--t-end", "1", "--method", "ae"]
     for base, key, value in ((evolve, "--delta", "-1e-3"),
@@ -107,8 +107,8 @@ def test_signed_values_parse_as_their_attached_form(capsys):
 
 
 def test_a_value_that_is_no_number_parses_alike_in_every_spelling(tmp_path):
-    # '-i' is no plain negative number, so argparse alone would read it as
-    # an option; spaced, attached and on a config line it is omega1 = -i.
+    # '-i' is no plain negative number, yet no option name either: spaced,
+    # attached and on a config line it is omega1 = -i.
     base = ["evolve", "--delta-avg", "400", "--omega0", "1", "--t-end", "1",
             "--method", "ae"]
     cfg = config_file(tmp_path, "omega1 = -i\n")
@@ -172,16 +172,30 @@ SCENARIO_KEYS = {
 }
 
 
+#: Every option name: the token after a key flag is its value unless it
+#: is one of these.
+OPTIONS = {f"--{key}" for keys in SCENARIO_KEYS.values() for key in keys} | {
+    "--config", "-h", "--help"}
+
+
+def flag_is_recognized(scenario, key):
+    """Whether ``parse_config`` takes ``--key`` as a flag of ``scenario``."""
+    try:
+        parse_config([scenario, f"--{key}", "1"])
+    except UsageError as exc:
+        return "unrecognized arguments" not in str(exc)
+    return True
+
+
 def test_every_flag_is_a_config_key(tmp_path):
-    parser = cli._build_parser()
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    assert list(subparsers.choices) == ["evolve", "compare", "sweep", "fidelity", "figure"]
-    for scenario, sub in subparsers.choices.items():
-        keys = [opt[2:] for a in sub._actions if a.dest != "help"
-                for opt in a.option_strings]
-        assert len(keys) == len(set(keys))
-        assert set(keys) == SCENARIO_KEYS[scenario] | {"config"}, scenario
+    assert list(cli.SCENARIO_KEYS) == ["evolve", "compare", "sweep", "fidelity", "figure"]
+    with pytest.raises(UsageError, match="unknown scenario 'trace'"):
+        parse_config(["trace"])
+    every = set().union(*SCENARIO_KEYS.values()) | {"config", "no-such-key"}
+    for scenario in cli.SCENARIO_KEYS:
+        assert len(set(cli.SCENARIO_KEYS[scenario])) == len(cli.SCENARIO_KEYS[scenario])
+        keys = {key for key in every if flag_is_recognized(scenario, key)}
+        assert keys == SCENARIO_KEYS[scenario] | {"config"}, scenario
         for key in keys:
             try:
                 parse_config([scenario, "--config",
@@ -192,8 +206,8 @@ def test_every_flag_is_a_config_key(tmp_path):
                 assert key != "config"
 
 
-#: A valid value for every key of each scenario; the leading minus signs
-#: reach a flag through ``_attach_signed_values`` but a config line as is.
+#: A valid value for every key of each scenario, leading minus signs
+#: included.
 TRACE_VALUES = {"delta-avg": "400", "delta": "-16", "omega0": "200",
                  "omega1": "-30+70i", "t-end": "0.25", "dt-end": "100",
                  "points": "1000", "psi0": "-0.6,0.8i,0", "out": "trace.csv",
@@ -224,6 +238,92 @@ def test_each_key_parses_alike_from_a_flag_and_a_config_line(tmp_path):
                 base + ["--config", config_file(tmp_path, f"{key} = {value}\n")]))
             assert np.array_equal(flag.pop("psi0"), line.pop("psi0")), (scenario, key)
             assert flag == line, (scenario, key)
+
+
+def outcome(argv):
+    """The RunConfig ``parse_config`` makes of argv, as a dict with psi0 as
+    bytes, or the text of its usage error."""
+    try:
+        config = asdict(parse_config(argv))
+    except UsageError as exc:
+        return str(exc)
+    config["psi0"] = config["psi0"].tobytes()
+    return config
+
+
+KNOWN_VALUES = sorted({v for values in KEY_VALUES.values() for v in values.values()})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(s, k) for s, values in KEY_VALUES.items() for k in values]),
+       st.one_of(st.tuples(st.sampled_from(["", "-", "--"]),
+                           st.sampled_from(KNOWN_VALUES)).map("".join),
+                 st.text(st.characters(codec="utf-8"), max_size=12)))
+def test_spaced_attached_and_config_line_give_one_config(tmp_path_factory, case, value):
+    # Any value text a config line can hold that is no option name, a
+    # leading '-' included, reads alike in all three spellings.
+    assume(value == value.strip() and "#" not in value
+           and value.splitlines() in ([], [value]) and value.partition("=")[0] not in OPTIONS)
+    scenario, key = case
+    unused = {key, "t-end" if key == "dt-end" else "dt-end"}
+    base = [scenario] + [f"--{k}={v}" for k, v in KEY_VALUES[scenario].items()
+                         if k not in unused]
+    cfg = tmp_path_factory.getbasetemp() / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    spaced = outcome(base + [f"--{key}", value])
+    assert outcome(base + [f"--{key}={value}"]) == spaced
+    assert outcome(base + ["--config", str(cfg)]) == spaced
+
+
+def test_a_repeated_flag_takes_its_last_value():
+    rc = parse_config(["evolve", "--delta-avg", "400", "--omega0", "1", "--omega1", "1",
+                       "--t-end", "1", "--method", "ae", "--delta", "1", "--delta=2",
+                       "--omega0", "3", "--method=ode", "--t-end", "0.5"])
+    assert rc.params == RamanParams(400.0, 2.0, 3.0, 1.0)
+    assert (rc.methods, rc.t_end) == ([("ode", 0)], 0.5)
+
+
+EVOLVE = ["evolve", "--delta-avg", "400", "--omega0", "1", "--omega1", "1",
+          "--t-end", "1", "--method", "ae"]
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (EVOLVE + ["--no-such-flag", "1"], "unrecognized arguments: --no-such-flag"),
+    (EVOLVE + ["--t", "1"], "unrecognized arguments: --t"),
+    (["figure", "--id", "3a", "--omega-r-t-max", "3"],
+     "unrecognized arguments: --omega-r-t-max"),
+    (EVOLVE + ["stray"], "unrecognized arguments: stray"),
+    (EVOLVE + ["--delta"], "argument --delta: expected one argument"),
+    (EVOLVE + ["--delta", "--omega0", "1"], "argument --delta: expected one argument"),
+    ([], "missing scenario; valid: evolve, compare, sweep, fidelity, figure"),
+    (["--delta-avg", "400"], "unknown scenario '--delta-avg'"),
+], ids=["unknown", "abbreviated", "other-scenario", "positional", "missing-last",
+        "missing-before-flag", "no-scenario", "flag-first"])
+def test_usage_faults_exit_2_with_one_line(capsys, argv, fragment):
+    assert cli.main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert fragment in err
+
+
+def listed(text):
+    """The indented entries of a help text, one a line."""
+    return [line.strip() for line in text.splitlines() if line.startswith("  ")]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_the_scenarios_and_the_keys_of_each(capsys, flag):
+    assert cli.main([flag]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert listed(out) == list(SCENARIO_KEYS) and err == ""
+    for scenario, keys in SCENARIO_KEYS.items():
+        for argv in ([scenario, flag], [scenario, "--points", "3", flag]):
+            assert cli.main(argv) == EXIT_OK
+            out, err = capsys.readouterr()
+            names = listed(out)
+            assert len(names) == len(set(names)) and err == ""
+            assert set(names) == {f"--{key}" for key in keys | {"config"}}, scenario
 
 
 def test_keys_a_scenario_does_not_read_are_rejected(tmp_path):
@@ -482,7 +582,11 @@ def test_sweep_chunks_match_scalar_calls_on_every_axis(tmp_path, axis, lo, hi):
     # One elementwise call per chunk gives the bytes of one scalar call per
     # point, complex drives and a range through 0 included.
     out = tmp_path / "sweep.csv"
-    points = 2 * cli.CHUNK_ROWS + 3
+    # With points - 1 = 17 * 2**j, the omega1 step 340/(points - 1) = 20/2**j
+    # is exact, so node 2**(j+1) is exactly 0; j is the least for which the
+    # sweep spans more than two chunks.
+    points = 17 * 2 ** (2 * cli.CHUNK_ROWS // 17).bit_length() + 1
+    assert points > 2 * cli.CHUNK_ROWS
     assert cli.main(["sweep", "--delta-avg", "400", "--delta", "-16",
                      "--omega0", "120+160i", "--omega1", "-30+70i", "--axis", axis,
                      "--from", str(lo), "--to", str(hi), "--points", str(points),

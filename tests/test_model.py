@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ramanls.analysis import (amplitude_p, delta_resonant_ae,
-                              delta_resonant_lightshift, rabi_ae, rabi_general)
-from ramanls.lippmann_schwinger import required_intervals
-from ramanls.model import (RamanParams, h_ae, h_new, spectral_m0sq,
+                              delta_resonant_lightshift, rabi_ae, rabi_general,
+                              trace_populations)
+from ramanls.lippmann_schwinger import auto_grid, required_intervals
+from ramanls.model import (RamanParams, SpectralData, h_ae, h_new, spectral_m0sq,
                            split_square)
 from ramanls.propagators import ae_model
 
@@ -113,6 +116,81 @@ def test_underflow_is_a_value_error():
                 reader(p)
     # Subnormal but nonzero squares still solve.
     assert spectral_m0sq(RamanParams(1e-160, 0.0, 0.0, 0.0)).mu_sq[0] > 0.0
+
+
+#: Every reader of the Raman block that takes array fields.
+OBSERVABLES = (rabi_general, rabi_ae, amplitude_p, delta_resonant_ae,
+               delta_resonant_lightshift)
+#: ... and those that take scalar fields only.
+SCALAR_READERS = (*OBSERVABLES, spectral_m0sq, split_square, ae_model)
+
+
+def bits(value):
+    """dtype, shape and bytes of a reader's result, each part of a tuple or
+    of SpectralData in turn."""
+    if isinstance(value, SpectralData):
+        value = (value.mu_sq, value.projectors)
+    if isinstance(value, tuple):
+        return sum((bits(part) for part in value), ())
+    value = np.asarray(value)
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+def test_a_cached_block_gives_the_bits_of_a_fresh_solve():
+    rng = np.random.default_rng(5)
+    cases = [(probe_params(rng), SCALAR_READERS) for _ in range(20)]
+    fields = (rng.choice([-1.0, 1.0], 50) * rng.uniform(1.0, 900.0, 50),
+              rng.uniform(-40.0, 40.0, 50),
+              rng.uniform(0.0, 300.0, 50) * np.exp(2j * np.pi * rng.uniform(size=50)),
+              np.linspace(-300.0, 300.0, 50))
+    cases.append((RamanParams(*fields), OBSERVABLES))
+    for p, readers in cases:
+        cached = replace(p)
+        block = cached.raman_block
+        assert vars(cached)["raman_block"] is block
+        for reader in readers:
+            fresh = replace(p)
+            assert "raman_block" not in vars(fresh)
+            assert bits(reader(fresh)) == bits(reader(cached)), reader.__name__
+        assert cached.raman_block is block
+
+
+def test_each_instance_solves_its_block_once(monkeypatch):
+    # An ls-S trace (its grid, the grid check and eps) and one sweep chunk
+    # of three observables each solve their block once.
+    solved = []
+    block = RamanParams.raman_block
+    monkeypatch.setattr(block, "func", lambda p, solve=block.func: solved.append(p) or solve(p))
+    p = replace(FIG4)
+    trace_populations("ls-S", p, np.array([1.0, 0.0, 0.0]), auto_grid(p, 0.25), order=1)
+    chunk = replace(FIG4, delta_2ph=np.linspace(-40.0, 40.0, 801))
+    for observable in (rabi_general, rabi_ae, amplitude_p):
+        observable(chunk)
+    assert [id(q) for q in solved] == [id(p), id(chunk)]
+
+
+def test_replace_gets_a_fresh_block():
+    p = replace(FIG4)
+    block = p.raman_block
+    same, moved = replace(p), replace(p, delta_2ph=5.0)
+    for q in (same, moved):
+        assert "raman_block" not in vars(q)
+    assert same.raman_block is not block and bits(same.raman_block) == bits(block)
+    assert bits(moved.raman_block) == bits(RamanParams(400.0, 5.0, 200.0 + 0j, 120.0 + 0j).raman_block)
+    assert moved.raman_block[0] != block[0]
+
+
+def test_a_failed_solve_raises_on_every_access_and_keeps_nothing():
+    for p, readers in ((RamanParams(400.0, 0.0, 2e154, 1.0), SCALAR_READERS),
+                       (RamanParams(1e-200, 0.0, 0.0, 0.0), SCALAR_READERS),
+                       (RamanParams(400.0, 0.0, np.array([1.0, 2e154]), 1.0), OBSERVABLES)):
+        messages = set()
+        for reader in (lambda q: q.raman_block, *readers, lambda q: q.raman_block):
+            with pytest.raises(ValueError, match="flow double precision") as exc:
+                reader(p)
+            messages.add(str(exc.value))
+            assert "raman_block" not in vars(p)
+        assert len(messages) == 1, messages
 
 
 def test_split_square_reconstructs_h_squared():
