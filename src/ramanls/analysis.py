@@ -1,20 +1,17 @@
 """Elementwise observables and population traces.
 
-Effective Rabi frequencies from the three treatments, the resonance
+The effective Rabi frequencies of the three treatments, the resonance
 detunings of adiabatic elimination and of the linearised light-shift
-balance, the transfer amplitude, and a uniform population-trace record
-for every propagation method the package offers.  The Rabi frequencies
-and the amplitude read the closed-form Raman block, so they stay
-accurate to a few ulps at weak drive, where adiabatic elimination is
-reliable.  ``rabi_ae``, ``rabi_general``, ``amplitude_p`` and both
-resonance detunings are elementwise: given a RamanParams with array
-fields they return one value per parameter point, equal bit for bit to
-the scalar call there.
+balance, and the transfer amplitude read the closed-form Raman block,
+so they stay accurate to a few ulps at weak drive.  They are
+elementwise: given a RamanParams with array fields they return one
+value per parameter point, equal bit for bit to the scalar call there.
 
-The non-LS traces read one spectrum each: ``exact-*`` and ``ode`` the
-eigensystem of H (``ode`` with RK4's growth factor per interval in place
-of each exact phase), ``ae`` and ``m0eff`` the Raman-block projectors,
-beating at 2r/Delta and at mu+ - mu-.
+``trace_populations`` records a population trace by any method, and
+``trace_rows`` gives one on any slice of the grid nodes.  The non-LS
+methods are pointwise: each solves one spectrum per trace and is then a
+function of t alone, ``propagators.modal_states`` on it for all but
+``delta0``, so a CLI trace is held one chunk at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from .lippmann_schwinger import (TimeGrid, Variant, _u0_table, apply_normalized,
                                  _initial_state, iterate)
 from .model import RamanParams, _modulus, h_ae, h_new, spectral_m0sq
 from .numerics import eig_h3
-from .propagators import mode_factors, rk4_steps, state_table
+from .propagators import modal_states, mode_factors, rk4_steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,105 +83,96 @@ def amplitude_p(params: RamanParams) -> float:
     return np.square(_modulus(b) / r)
 
 
-# Every method maps (params, psi0, grid, order) to the (n+1, 3)
-# states on the grid nodes.  The helpers are looked up in this module's
-# globals at call time, never bound early, so that wrapping a module
-# binding (as a profiler does) sees every call.
+# Every method maps (params, psi0, grid, order) to the function that
+# gives its (m, 3) states on a slice of the grid nodes.  Helpers are
+# looked up in this module's globals at call time, never bound early, so
+# that wrapping a module binding (as a profiler does) sees every call.
 
-def _ode(params, psi0, grid, order):
-    """RK4 across each grid interval in s = ``rk4_steps`` equal substeps.
-    For constant H one four-stage step is the stability polynomial
-    p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = -i H dt/s, so on each
-    eigenvector v_m of H one interval multiplies by the scalar growth
-    factor g_m = p(-i lam_m dt/s)^s, and node i is
-    sum_m g_m^i v_m (v_m^H psi0): the exact propagator with
-    exp(-i lam_m dt) replaced by g_m."""
-    h = h_new(params)
-    substeps = rk4_steps(h, grid.dt)
+def _eigen(h, psi0, grid, rk4=False):
+    """exp(-i h t) psi0 by the rates -i lam_m on the eigenvectors v_m of h,
+    or with ``rk4`` those of RK4 in s = ``rk4_steps`` equal steps per
+    interval.  A step multiplies the v_m component by p(z_m) = 1 + z +
+    z^2/2 + z^3/6 + z^4/24 at z = -i lam_m dt/s, so RK4 is the exact state
+    with each rate -i lam_m replaced by log(p(z_m)^s)/dt = -i lam_m +
+    (s/dt) d(z_m), d(z) = log p(z) - z = -z^5/120 + z^6/144 - z^7/336 +
+    z^8/1152 - z^9/5184 + O(z^11): rounding at the |z| <= 0.05 that s keeps."""
     lam, v = eig_h3(h)
-    z = (-1j * grid.dt / substeps) * lam
-    p = np.ones(3, dtype=complex)
-    for j in (4, 3, 2, 1):  # Horner: 1 + z (1 + z/2 (1 + z/3 (1 + z/4)))
-        p = 1.0 + z * p / j
-    # Filled, accumulated and scaled in place, so that one (n+1, 3) table
-    # is alive beside the states (71 MB each at n = 1.47e6).
-    growth = np.empty((grid.n + 1, 3), dtype=complex)
-    growth[0], growth[1:] = 1.0, p ** substeps
-    np.cumprod(growth, axis=0, out=growth)
-    growth *= v.conj().T @ psi0
-    return growth @ v.T
+    rates, coeffs = -1j * lam, v.conj().T @ psi0
+    if rk4:
+        s = rk4_steps(h, grid.dt)
+        z = rates * (grid.dt / s)
+        d = z ** 5 * (-1 / 120 + z * (1 / 144 + z * (-1 / 336 + z * (1 / 1152 - z / 5184))))
+        rates = rates + (s / grid.dt) * d
+    return lambda rows: modal_states(rates, v, coeffs, grid.times[rows])
 
 
-def _beat(params, psi0, grid, omega, method):
+def _beat(method, omega):
     """The two-level states P- psi0 + exp(i omega t) P+ psi0, excited
-    amplitude zero, P+- the Raman-block projectors of ``spectral_m0sq``.
-    They are the eigenprojectors of the AE h_eff as well, so one beat
-    serves both two-level methods; it drops a global phase, which no
-    population reads."""
-    if abs(psi0[2]) > 1e-12:
-        raise ValueError(f"method {method} requires zero initial excited amplitude")
-    p_plus, p_minus = spectral_m0sq(params).projectors[:2]
-    return np.outer(np.exp(1j * omega * grid.times), p_plus @ psi0) + p_minus @ psi0
-
-
-def _ae(params, psi0, grid, order):
-    """exp(-i h_eff t) psi0 with h_eff = -T/Delta + c I and T = r (P+ - P-),
-    so the beat runs at 2r/Delta = sign(Delta) ``rabi_ae``."""
-    omega = np.sign(params.delta_avg) * rabi_ae(params)
-    return _beat(params, psi0, grid, omega, "ae")
-
-
-def _m0eff(params, psi0, grid, order):
-    """exp(+i sqrt(B) t) psi0, B the Raman block of M0^2, as the beat at
-    Omega_R = mu+ - mu- from ``rabi_general``, which stays exact at weak
-    drive."""
-    return _beat(params, psi0, grid, rabi_general(params), "m0eff")
+    amplitude zero, P+- the Raman-block projectors of ``spectral_m0sq``
+    and omega(params) the beat.  They are the eigenprojectors of the AE
+    h_eff as well, so one beat serves both two-level methods; it drops a
+    global phase, which no population reads."""
+    def states(params, psi0, grid, order):
+        if abs(psi0[2]) > 1e-12:
+            raise ValueError(f"method {method} requires zero initial excited amplitude")
+        p_plus, p_minus = spectral_m0sq(params).projectors[:2]
+        vectors = np.stack([p_minus @ psi0, p_plus @ psi0], axis=1)
+        rates = (0.0, 1j * omega(params))
+        return lambda rows: modal_states(rates, vectors, (1.0, 1.0), grid.times[rows])
+    return states
 
 
 def _delta0(params, psi0, grid, order):
     if params.delta_2ph != 0.0:
         raise ValueError("method delta0 requires zero two-photon detuning")
     # H commutes with M0^2 at zero two-photon detuning, so U0 is exact.
-    sd = spectral_m0sq(params)
-    u0 = _u0_table(Variant.R, sd.projectors, h_new(params),
-                   *mode_factors(sd, grid.times))
-    return np.einsum("abt,b->ta", u0, psi0)
+    sd, h = spectral_m0sq(params), h_new(params)
+    return lambda rows: np.einsum("abt,b->ta", _u0_table(
+        Variant.R, sd.projectors, h, *mode_factors(sd, grid.times[rows])), psi0)
 
 
 def _ls(variant):
     def states(params, psi0, grid, order):
-        return apply_normalized(iterate(variant, params, grid, order), psi0)
+        return apply_normalized(iterate(variant, params, grid, order), psi0).__getitem__
     return states
 
 
-#: Every method trace_populations accepts, mapped to its state table.
+#: Every method trace_populations accepts, mapped to its states.
 METHODS = {
-    "exact-ae": lambda params, psi0, grid, order:
-        state_table(h_ae(params), grid.times, psi0),
-    "exact-new": lambda params, psi0, grid, order:
-        state_table(h_new(params), grid.times, psi0),
-    "ode": _ode,
-    "ae": _ae,
+    "exact-ae": lambda params, psi0, grid, order: _eigen(h_ae(params), psi0, grid),
+    "exact-new": lambda params, psi0, grid, order: _eigen(h_new(params), psi0, grid),
+    "ode": lambda params, psi0, grid, order: _eigen(h_new(params), psi0, grid, rk4=True),
+    # exp(-i h_eff t) psi0 with h_eff = -T/Delta + c I and T = r (P+ - P-):
+    # the beat at 2r/Delta = sign(Delta) rabi_ae.
+    "ae": _beat("ae", lambda params: np.sign(params.delta_avg) * rabi_ae(params)),
     "delta0": _delta0,
-    "m0eff": _m0eff,
+    # exp(+i sqrt(B) t) psi0, B the Raman block of M0^2: the beat at
+    # mu+ - mu- = rabi_general, which stays exact at weak drive.
+    "m0eff": _beat("m0eff", lambda params: rabi_general(params)),
     **{f"ls-{v.value}": _ls(v) for v in Variant},
 }
+
+
+def trace_rows(method: str, params: RamanParams, psi0: np.ndarray,
+               grid: TimeGrid, *, order: int = 0):
+    """``method`` solved once on ``grid``: its trace label, and the
+    function that gives p0, p1, pe and the norm on a slice of the grid
+    nodes.  A pointwise method evaluates only the nodes of the slice."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+    states = METHODS[method](params, _initial_state(psi0), grid, order)
+
+    def populations(rows):
+        s = states(rows)
+        pops = np.square(s.real) + np.square(s.imag)
+        return pops[:, 0], pops[:, 1], pops[:, 2], np.sqrt(pops.sum(axis=1))
+    return f"{method}-k{order}" if method.startswith("ls-") else method, populations
 
 
 def trace_populations(method: str, params: RamanParams, psi0: np.ndarray,
                       grid: TimeGrid, *, order: int = 0) -> Trace:
     """Populations of the three levels along a grid, by any named method.
-
     Two-level methods ("ae", "m0eff") require a vanishing initial excited
-    amplitude and report pe identically zero.  The "ls-*" methods take the
-    iteration order through ``order``.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-    psi0 = _initial_state(psi0)
-    states = METHODS[method](params, psi0, grid, order)
-    label = f"{method}-k{order}" if method.startswith("ls-") else method
-    pops = np.square(states.real) + np.square(states.imag)
-    norm = np.sqrt(pops.sum(axis=1))
-    return Trace(times=grid.times, p0=pops[:, 0], p1=pops[:, 1], pe=pops[:, 2],
-                 norm=norm, label=label)
+    amplitude and report pe identically zero; "ls-*" reads ``order``."""
+    label, populations = trace_rows(method, params, psi0, grid, order=order)
+    return Trace(grid.times, *populations(slice(None)), label)

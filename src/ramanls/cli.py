@@ -16,21 +16,17 @@ the drive keys, dt-end, method and order are combined instead:
     omega0 omega1          complex literal 'a+bi'      params
     t-end / dt-end         finite float                t_end / dt-end/|delta-avg|
     from to omega-r-t-max  finite float                sweep_from sweep_to omega_r_t_max
-    points / order         integer >= 1 / >= 0         points / methods
+    points / order         integer >= 1 / 0 to 64      points / methods
     psi0                   three complex components    psi0, normalised
     method / observable    names: METHODS/OBSERVABLES  methods / observables
     out axis id            text                        out sweep_axis figure_id
 
 Every scenario writes through one path: ``_tables`` yields (path,
-header, blocks) for each CSV, a block being the float columns of one
-trace or table plus its label, and ``_write_csv`` writes each block
-``FORMAT_ROWS`` rows at a time through ``_format_rows``, which gives
-every cell the bytes of ``'%.17g' % cell`` from numpy arithmetic: exact
-17-digit rounding by a two-product, digits from a 4-digit table, one
-template per (exponent, sign, significant digits).  Only cells in
-exponent notation go through Python's ``%``.  Blocks are computed as
-they are written: a trace or compare holds one trace in memory at a
-time, and a sweep one chunk of ``CHUNK_ROWS`` points.
+header, blocks) for each CSV, a block being float columns plus a label,
+computed as it is written, and ``_write_csv`` formats each block
+``FORMAT_ROWS`` rows at a time, every cell as ``'%.17g' % cell``, in
+numpy (``_format_rows``).  A pointwise trace is held one such chunk at
+a time, an ls-* trace one full table, a sweep ``CHUNK_ROWS`` points.
 
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
@@ -51,8 +47,8 @@ import numpy as np
 
 from .analysis import (METHODS, delta_resonant_ae, delta_resonant_lightshift,
                        amplitude_p, rabi_ae, rabi_exact_delta0, rabi_general,
-                       trace_populations)
-from .lippmann_schwinger import TimeGrid, required_intervals
+                       trace_rows)
+from .lippmann_schwinger import TimeGrid, born_order, required_intervals
 from .model import RamanParams, h_ae
 from .propagators import state_table
 
@@ -255,7 +251,10 @@ def parse_config(argv) -> RunConfig:
         path = Path(config_file)
         if not path.is_file():
             raise UsageError(f"config file not found: {config_file}")
-        text = {**values_from_text(path.read_text(), keys), **text}
+        try:
+            text = {**values_from_text(path.read_text(), keys), **text}
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read config file {config_file}: {exc}") from None
     values = {key: _PARSERS[key](key, text[key]) for key in keys if key in text}
     rc = RunConfig(scenario, **{f: values[k] for k, f in _FIELDS.items() if k in values})
 
@@ -267,6 +266,7 @@ def parse_config(argv) -> RunConfig:
         try:
             rc.params = RamanParams(values["delta-avg"], values.get("delta", 0.0),
                                     values["omega0"], values["omega1"])
+            born_order(values.get("order", 0))  # the cap of iterate, before any run
         except ValueError as exc:
             raise UsageError(str(exc)) from None
 
@@ -488,22 +488,19 @@ def _format_rows(values: np.ndarray, tail: str) -> str:
 def _write_csv(fh, header, blocks) -> None:
     """Write the header, then every (columns, label) block of an open file:
     one row per entry of its equal-length float columns, each cell as
-    ``'%.17g' % cell``, ending in the label cell unless the label is None.
-    Each chunk of ``FORMAT_ROWS`` rows is formatted by ``_format_rows`` in
-    numpy and written at once."""
+    ``'%.17g' % cell``, ending in the label cell unless the label is None."""
     fh.write(",".join(header) + "\n")
     for columns, label in blocks:
         tail = ("" if label is None else "," + label) + "\n"
         for start in range(0, len(columns[0]), FORMAT_ROWS):
             chunk = np.column_stack([c[start:start + FORMAT_ROWS] for c in columns])
             fh.write(_format_rows(chunk, tail))
-        del columns  # before the next block is computed
 
 
 def _trace_blocks(config: RunConfig):
-    """Yield one TRACE_HEADER block per method of ``config``, on its
-    ``points`` intervals rounded up to even (the mandated grid if None).
-    Only the integral hierarchy (ls-*) raises a coarser grid to it."""
+    """Yield each method of ``config`` as TRACE_HEADER blocks of
+    ``FORMAT_ROWS`` nodes, on ``points`` intervals rounded up to even (the
+    mandated grid if None, and for ls-* at least that)."""
     params, t_end, points = config.params, config.t_end, config.points
     required = required_intervals(params, t_end)
     n = required if points is None else points + (points % 2)
@@ -513,10 +510,12 @@ def _trace_blocks(config: RunConfig):
         n = required
     grid = TimeGrid(t_end=t_end, n=n)
     for name, order in config.methods:
-        tr = trace_populations(name, params, config.psi0, grid, order=order)
-        yield ((tr.times, tr.times * params.delta_avg, tr.p0, tr.p1, tr.pe, tr.norm),
-               tr.label)
-        del tr  # before the next trace is computed
+        label, populations = trace_rows(name, params, config.psi0, grid, order=order)
+        for start in range(0, n + 1, FORMAT_ROWS):
+            rows = slice(start, start + FORMAT_ROWS)
+            t = grid.times[rows]
+            yield (t, t * params.delta_avg, *populations(rows)), label
+        del populations  # before the next trace is solved
 
 
 def _fidelity_block(bases, omega_r_t_max: float, points: int | None):
@@ -531,7 +530,10 @@ def _fidelity_block(bases, omega_r_t_max: float, points: int | None):
                              "omega0 and omega1 must be nonzero")
         pa = replace(base, delta_2ph=delta_resonant_ae(base))
         pb = replace(base, delta_2ph=delta_resonant_lightshift(base))
-        times = phase / rabi_ae(pa)
+        rabi = rabi_ae(pa)
+        if not 0 < rabi < math.inf:
+            raise ValueError(f"the drives give the AE Rabi frequency {rabi:g}: no time scale")
+        times = phase / rabi
         sa = state_table(h_ae(pa), times, psi0)
         sb = state_table(h_ae(pb), times, psi0)
         overlap = np.abs(np.einsum("ta,ta->t", sa.conj(), sb))

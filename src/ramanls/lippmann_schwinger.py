@@ -217,6 +217,14 @@ _SIDES = {Variant.R: (_born_integral,), Variant.L: (_l_form,),
           Variant.S: (_born_integral, _l_form)}
 
 
+def born_order(order) -> int:
+    """``order`` if ``iterate`` takes it: an integer from 0 to 64, twice
+    the highest order studied, so that a mistyped one cannot run for hours."""
+    if not isinstance(order, numbers.Integral) or not 0 <= order <= 64:
+        raise ValueError(f"order must be an integer >= 0 and <= 64, got {order!r}")
+    return order
+
+
 def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
             order: int) -> np.ndarray:
     """Born iteration of the chosen integral equation up to the given order.
@@ -225,8 +233,7 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
     view of the time-last table.
     """
     variant = Variant(variant)
-    if not isinstance(order, numbers.Integral) or order < 0:
-        raise ValueError(f"order must be an integer >= 0, got {order!r}")
+    born_order(order)
     sd = validate_grid(grid, params)
     modes = mode_factors(sd, grid.times)
     h = h_new(params)

@@ -1,17 +1,11 @@
 """Propagators for the driven three-level system.
 
-Exact state evolution by eigendecomposition, the RK4 step count behind
-the ``ode`` method (which ``analysis`` evaluates on the eigensystem of
-H, one scalar growth factor per eigenvalue), the adiabatic-elimination
-effective Hamiltonian (``ae_model`` returns the 2x2 h_eff, read off the
-Raman block, for library callers; the ``ae`` trace beats on the same
-block's projectors at ``analysis.rabi_ae``), the cos/sinc mode factors
-of the squared Hamiltonian's block-diagonal part (shared by the
-zero-detuning solution and the integral hierarchy).
-
-Every sin(M t)/M factor is evaluated as the even scalar function
-sin(sqrt(lam) t)/sqrt(lam) of the squared operator, so no square-root
-sign ever has to be chosen.
+``modal_states`` evaluates sum_m exp(r_m t) c_m v_m, the form of the
+exact states (``state_table``), of RK4 in ``rk4_steps`` substeps and of
+the two-level beats.  ``ae_model`` returns the adiabatic-elimination
+h_eff for library callers.  ``mode_factors`` gives the cos/sinc factors
+of the modes of the squared Hamiltonian's block-diagonal part, each an
+even function of mu, so no square-root sign ever has to be chosen.
 """
 
 from __future__ import annotations
@@ -24,12 +18,19 @@ from .model import RamanParams, SpectralData
 from .numerics import eig_h3, sinc_sqrt
 
 
+def modal_states(rates, vectors, coeffs, times) -> np.ndarray:
+    """The states sum_m exp(r_m t) c_m v_m, v_m the columns of ``vectors``,
+    one row per time.  A row reads its own time alone, so a slice of
+    ``times`` gives the rows of the whole bit for bit."""
+    t = np.asarray(times, dtype=float)[:, None]
+    weighted = np.asarray(vectors) * coeffs
+    return sum(np.exp(r * t) * w for r, w in zip(rates, weighted.T))
+
+
 def state_table(h: np.ndarray, times: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """States exp(-i h t) psi0 at every requested time, one eigensolve."""
     lam, v = eig_h3(h)
-    coeff = v.conj().T @ np.asarray(psi0, dtype=complex)
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), lam))
-    return (phases * coeff) @ v.T
+    return modal_states(-1j * lam, v, v.conj().T @ np.asarray(psi0, complex), times)
 
 
 def rk4_steps(h: np.ndarray, span: float) -> int:

@@ -27,7 +27,7 @@ ETAS = (1.0, 0.5, 0.25)
 
 def delta0_unitaries(params, grid) -> np.ndarray:
     """The ``delta0`` propagator on every grid node, as an (n+1, 3, 3) array."""
-    return np.stack([METHODS["delta0"](params, e, grid, 0)
+    return np.stack([METHODS["delta0"](params, e, grid, 0)(slice(None))
                      for e in np.eye(3, dtype=complex)], axis=2)
 
 

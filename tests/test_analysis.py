@@ -227,6 +227,16 @@ def test_trace_ls_labels_and_norms():
     assert mean.label == "ls-M-k1"
 
 
+def test_trace_ls_order_defaults_to_zero():
+    grid = auto_grid(FIG4, 45.0 / 400.0)
+    default = trace_populations("ls-R", FIG4, PSI0, grid)
+    zeroth = trace_populations("ls-R", FIG4, PSI0, grid, order=0)
+    assert default.label == zeroth.label == "ls-R-k0"
+    for a, b in zip((default.p0, default.p1, default.pe, default.norm),
+                    (zeroth.p0, zeroth.p1, zeroth.pe, zeroth.norm)):
+        assert np.array_equal(a, b)
+
+
 def test_trace_m0eff_matches_block_propagator():
     # exp(+i sqrt(B) t), B the Raman block of M0^2 built from its definition.
     grid = TimeGrid(t_end=0.1, n=20)

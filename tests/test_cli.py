@@ -788,3 +788,85 @@ def test_numerical_failure_removes_partial_output(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure in scenario {argv[0]}: "
                               "Unable to allocate"), err
+
+
+# ------------------------------------------------- edges and presets
+
+
+@pytest.mark.parametrize("method", ["exact-ae", "exact-new", "ode", "ae", "delta0", "m0eff"])
+@pytest.mark.parametrize("tail", [1, 3, cli.FORMAT_ROWS - 1])
+def test_chunked_trace_equals_trace_populations_bit_for_bit(tmp_path, method, tail):
+    # Three full write chunks and a partial one of ``tail`` rows (odd, as
+    # the grid has an even number of intervals).
+    points = 3 * cli.FORMAT_ROWS + tail - 1
+    assert points % 2 == 0
+    out = tmp_path / "t.csv"
+    argv = ["evolve", "--delta-avg=-400", "--omega0", "120+160i", "--omega1=-30+70i",
+            "--psi0", "0.6,0.8i,0", "--t-end", "0.3", "--points", str(points),
+            "--method", method, "--out", str(out)]
+    assert cli.main(argv) == EXIT_OK
+    config = parse_config(argv)
+    tr = trace_populations(method, config.params, config.psi0,
+                           TimeGrid(t_end=0.3, n=points))
+    want = per_row_csv(cli.TRACE_HEADER, [((tr.times, tr.times * -400.0, tr.p0, tr.p1,
+                                            tr.pe, tr.norm), method)])
+    same = out.read_text() == want  # a bool: pytest's diff of 200 kB texts is slow
+    assert same
+
+
+def test_config_file_that_is_not_text_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"delta-avg = 400\nomega0 = 1\xff\n")
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", str(path), "--omega1", "1", "--t-end", "1",
+                     "--method", "ae", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot read config file ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_fidelity_with_underflowing_drives_fails_without_output(tmp_path, capsys):
+    # Both drives nonzero, but rabi_ae underflows to 0: no time scale.
+    out = tmp_path / "f.csv"
+    assert cli.main(["fidelity", "--delta-avg", "400", "--omega0", "1e-200",
+                     "--omega1", "1e-200", "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in scenario fidelity: ") and err.count("\n") == 1
+    assert "AE Rabi frequency 0" in err
+    assert not out.exists()
+
+
+def test_order_above_the_cap_is_a_usage_error(tmp_path, capsys):
+    evolve = ["evolve", "--delta-avg", "400", "--delta", "-16", "--omega0", "200",
+              "--omega1", "120", "--t-end", "0.01", "--method", "ls-S"]
+    assert parse_config(evolve + ["--order", "64"]).methods == [("ls-S", 64)]
+    out = tmp_path / "x.csv"
+    for order in ("65", "100000000000000000000"):
+        assert cli.main(evolve + ["--order", order, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: order must be an integer >= 0 and <= 64")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_figure_presets_pin_their_horizons_and_methods():
+    fig3_t_end = {fid: 2.0 * np.pi / rabi_general(cli.PRESETS[fid]["params"])
+                  for fid in ("3a", "3b", "3c")}
+    for fid, t_end in fig3_t_end.items():
+        assert cli.PRESETS[fid]["t_end"] == t_end
+        assert cli.PRESETS[fid]["methods"] == [("exact-new", 0), ("ae", 0)]
+    for fid, methods in (
+            ("4a", [("exact-new", 0), ("ls-R", 0), ("ls-R", 1), ("ls-R", 2)]),
+            ("4b", [("exact-new", 0), ("ls-L", 0), ("ls-L", 1), ("ls-L", 2)]),
+            ("5", [("exact-new", 0), ("ls-S", 0), ("ls-S", 1), ("ls-S", 2)]),
+            ("6", [("exact-new", 0), ("ls-S", 0), ("ae", 0), ("m0eff", 0)])):
+        assert cli.PRESETS[fid]["t_end"] == 0.25
+        assert cli.PRESETS[fid]["methods"] == methods
+
+
+def test_smallest_accepted_fidelity_horizon_and_sweep(tmp_path):
+    assert parse_config(FIDELITY + ["--omega-r-t-max", "0.5"]).omega_r_t_max == 0.5
+    out = tmp_path / "s.csv"
+    assert cli.main(SWEEP[:-1] + ["2", "--observable", "rabi", "--out", str(out)]) == EXIT_OK
+    assert [line.split(",")[0] for line in read_lines(out)] == ["delta", "-1", "1"]

@@ -122,6 +122,14 @@ def test_iterate_rejects_negative_order():
     assert np.array_equal(iterate("R", FIG4, g, np.int64(1)), iterate("R", FIG4, g, 1))
 
 
+def test_iterate_rejects_orders_above_the_cap():
+    # Rejected before any work: 1e20 orders would never return.
+    g = auto_grid(FIG4, 0.05)
+    for order in (65, 10 ** 20):
+        with pytest.raises(ValueError, match="<= 64"):
+            iterate("S", FIG4, g, order)
+
+
 def test_iterate_order_zero_is_u0_table():
     g = auto_grid(FIG4, 45.0 / 400.0)
     tab = iterate("R", FIG4, g, 0)

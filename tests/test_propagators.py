@@ -234,7 +234,7 @@ def test_m0_effective_unitary_basics():
     rng = np.random.default_rng(31)
     for p in [FIG4] + [random_params(rng) for _ in range(10)]:
         grid = TimeGrid(t_end=rng.uniform(0.01, 0.5), n=10)
-        cols = [METHODS["m0eff"](p, psi, grid, 0) for psi in np.eye(3)[:2]]
+        cols = [METHODS["m0eff"](p, psi, grid, 0)(slice(None)) for psi in np.eye(3)[:2]]
         u = np.stack(cols, axis=2)[:, :2]
         assert np.abs(u[0] - np.eye(2)).max() <= 1e-12
         gram = np.einsum("tai,taj->tij", u.conj(), u)
