@@ -103,7 +103,7 @@ def _eigen(h, psi0, grid, rk4=False):
         z = rates * (grid.dt / s)
         d = z ** 5 * (-1 / 120 + z * (1 / 144 + z * (-1 / 336 + z * (1 / 1152 - z / 5184))))
         rates = rates + (s / grid.dt) * d
-    return lambda rows: modal_states(rates, v, coeffs, grid.times[rows])
+    return lambda rows: modal_states(rates, v, coeffs, grid.node_times(rows))
 
 
 def _beat(method, omega):
@@ -118,7 +118,7 @@ def _beat(method, omega):
         p_plus, p_minus = spectral_m0sq(params).projectors[:2]
         vectors = np.stack([p_minus @ psi0, p_plus @ psi0], axis=1)
         rates = (0.0, 1j * omega(params))
-        return lambda rows: modal_states(rates, vectors, (1.0, 1.0), grid.times[rows])
+        return lambda rows: modal_states(rates, vectors, (1.0, 1.0), grid.node_times(rows))
     return states
 
 
@@ -128,7 +128,7 @@ def _delta0(params, psi0, grid, order):
     # H commutes with M0^2 at zero two-photon detuning, so U0 is exact.
     sd, h = spectral_m0sq(params), h_new(params)
     return lambda rows: np.einsum("abt,b->ta", _u0_table(
-        Variant.R, sd.projectors, h, *mode_factors(sd, grid.times[rows])), psi0)
+        Variant.R, sd.projectors, h, *mode_factors(sd, grid.node_times(rows))), psi0)
 
 
 def _ls(variant):

@@ -356,10 +356,9 @@ PRESET_GROUPS = {"3": ["3a", "3b", "3c"], "4": ["4a", "4b"]}
 # significant digits): 0xFF over every digit shown, NUL over stripped
 # zeros, the literal bytes elsewhere.  Deleting every NUL of a chunk
 # leaves its text.  Exponent-notation cells, non-finite ones included,
-# keep Python's own '%.17g'.
-
-#: 10**k for k = 0..20, each exact in binary64.
-_POW10 = np.array([float(10 ** k) for k in range(21)])
+# keep Python's own '%.17g'.  X is read exactly from ``_DECADES``, with no
+# logarithm, so one Dekker two-product (Numer. Math. 18, 224 (1971)) on
+# 10**k's halves from a table gives |x| * 10**(16 - X) in [1e16, 1e17).
 
 
 def _split(a):
@@ -369,14 +368,13 @@ def _split(a):
     return hi, a - hi
 
 
-def _times_pow10(a, k):
-    """Dekker's two-product: (p, err) with p = fl(a * 10**k) and
-    p + err = a * 10**k exactly."""
-    b = _POW10.take(k)
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    p = a * b
-    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+#: 10**k for k = 0..20, each exact in binary64, and their Veltkamp halves.
+_POW10 = np.array([float(10 ** k) for k in range(21)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+#: The doubles nearest 10**j, j = -4..17: those below 1 round up, the rest
+#: are exact, so a >= _DECADES[j] exactly when a >= 10**(j - 4) for every
+#: double a.  NaN and inf sort past the end, zeros and subnormals before it.
+_DECADES = np.array([float(f"1e{j}") for j in range(-4, 18)])
 
 
 def _round17(x):
@@ -384,30 +382,20 @@ def _round17(x):
     its 17 digits D in [1e16, 1e17) and their decimal exponent X, with
     D = X = 0 for a zero.  Cells not ``fixed`` read D = X = 0."""
     a = np.abs(x)
-    with np.errstate(divide="ignore"):
-        X0 = np.floor(np.log10(a))  # at most one off, near powers of ten
-    zero = a == 0
-    fixed = zero | ((X0 >= -4) & (X0 <= 16))
-    a = np.where(fixed, a, 0.0)
-    X = np.where(fixed & ~zero, X0, 0).astype(np.intp)
-    hi, lo = _times_pow10(a, 16 - X)
-    # X is corrected from the exact product hi + lo against 1e16 and 1e17,
-    # never from its rounding: just below 0.1, hi + lo < 1e16 rounds to 1e16.
-    shift = (((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp)
-             - ((hi < 1e16) | ((hi == 1e16) & (lo < 0))))
-    shift[zero] = 0
-    X += shift
-    fixed &= (X >= -4) & (X <= 16)
-    redo = np.flatnonzero(fixed & (shift != 0))
-    hi[redo], lo[redo] = _times_pow10(a[redo], 16 - X[redo])
+    X = np.searchsorted(_DECADES, a, side="right") - 5
+    fixed = (X >= -4) & (X <= 16)
+    a[~fixed] = X[~fixed] = 0
+    k = 16 - X
+    ah, al = _split(a)
+    bh, bl = _POW10_HI.take(k), _POW10_LO.take(k)
+    hi = a * _POW10.take(k)
+    lo = al * bl - (((hi - ah * bh) - al * bh) - ah * bl)  # hi + lo = a * 10**k
     # hi >= 1e16 is an even integer, so hi plus lo rounded half to even is
     # hi + lo rounded half to even.  It never reaches 1e17: the largest
     # double below each 10**n, n = -3..17, lies at least 8.3 units of the
     # 17th digit below it.
     D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    D[~fixed] = 0
-    X[~fixed] = 0
-    return D, X, fixed
+    return D, X, fixed | (x == 0)
 
 
 @functools.cache
@@ -509,11 +497,14 @@ def _trace_blocks(config: RunConfig):
               f"hierarchy; raised to {required}", file=sys.stderr)
         n = required
     grid = TimeGrid(t_end=t_end, n=n)
+    # Rows are evaluated a chunk at a time, but a trace whose n + 1 node times
+    # would not fit in memory raises MemoryError: np.empty touches no page.
+    np.empty(n + 1)
     for name, order in config.methods:
         label, populations = trace_rows(name, params, config.psi0, grid, order=order)
         for start in range(0, n + 1, FORMAT_ROWS):
             rows = slice(start, start + FORMAT_ROWS)
-            t = grid.times[rows]
+            t = grid.node_times(rows)
             yield (t, t * params.delta_avg, *populations(rows)), label
         del populations  # before the next trace is solved
 

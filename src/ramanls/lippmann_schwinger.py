@@ -86,11 +86,19 @@ class TimeGrid:
     def dt(self) -> float:
         return self.t_end / self.n
 
+    def node_times(self, rows: slice) -> np.ndarray:
+        """The times of the nodes ``rows`` alone, bit for bit ``np.linspace``'s:
+        i * dt, or (i / n) * t_end if dt underflows to 0, and t_end at node n."""
+        i = np.arange(*rows.indices(self.n + 1))
+        t = i * self.dt if self.dt else i / self.n * self.t_end
+        t[i == self.n] = self.t_end
+        return t
+
     @functools.cached_property
     def times(self) -> np.ndarray:
-        """The n + 1 node times, built once per grid and read-only, so
-        that every trace on the grid shares one array."""
-        times = np.linspace(0.0, self.t_end, self.n + 1)
+        """All n + 1 node times, built once per grid and read-only, so
+        that every full-grid trace on the grid shares one array."""
+        times = self.node_times(slice(None))
         times.flags.writeable = False
         return times
 

@@ -4,6 +4,7 @@ a digit, the point or the exponent is easiest to get wrong."""
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -110,3 +111,35 @@ def test_bulk_draws_in_fixed_notation():
     rng = np.random.default_rng(5)
     values = rng.uniform(-1.0, 1.0, 200_000) * 10.0 ** rng.integers(-7, 19, 200_000)
     assert mismatches(values, columns=5, tail=",exact-new\n") == []
+
+
+def significant_bits(v: float) -> int:
+    """The bits of |v|'s significand from its leading to its trailing one."""
+    m = int(math.frexp(abs(v))[0] * 2 ** 53)
+    return (m >> ((m & -m).bit_length() - 1)).bit_length() if m else 0
+
+
+def test_split_halves_carry_26_bits_each_and_sum_exactly():
+    # Dekker's two-product is exact only on halves of at most 26 bits.
+    # Edge significands set or clear runs of bits on either side of bit
+    # 26; the random doubles span the fixed-notation range.
+    significands = {2 ** 52 | pattern for pattern in (0x5555555555555, 0xAAAAAAAAAAAAA)}
+    for b in range(53):
+        significands |= {2 ** 52 + 2 ** b, 2 ** 53 - 2 ** b, 2 ** 52 | (2 ** b - 1),
+                         2 ** 53 - 1 - (2 ** b >> 1)}
+    rng = np.random.default_rng(26)
+    values = np.concatenate([
+        [float(m) * 2.0 ** e for m in sorted(significands) for e in (-60, -52, 0)],
+        rng.uniform(1.0, 10.0, 20_000) * 10.0 ** rng.integers(-5, 18, 20_000),
+        cli._POW10])
+    hi, lo = cli._split(values)
+    for a, h, l in zip(values.tolist(), hi.tolist(), lo.tolist()):
+        assert significant_bits(h) <= 26 and significant_bits(l) <= 26, (a, h, l)
+        assert Fraction(h) + Fraction(l) == Fraction(a), a
+
+
+def test_decade_table_brackets_each_power_of_ten():
+    # |x| >= _DECADES[j] must hold exactly when |x| >= 10**(j - 4).
+    assert len(cli._DECADES) == 22
+    for j, d in enumerate(cli._DECADES.tolist(), start=-4):
+        assert Fraction(d) >= Fraction(10) ** j > Fraction(np.nextafter(d, 0.0).item()), j

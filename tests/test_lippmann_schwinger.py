@@ -43,6 +43,21 @@ def test_time_grid_validation():
     assert np.allclose(g.times, np.linspace(0, 1, 11))
 
 
+def test_node_times_of_chunks_match_linspace_bit_for_bit():
+    # Write-chunk slices, the last one partial, on drawn grids and on grids
+    # whose dt is subnormal or underflows to 0 (t_end = 5e-324).
+    rng = np.random.default_rng(27)
+    grids = [(5e-324, 2), (5e-324, 3078), (1e-310, 3078), (1.7e308, 2050), (0.3, 3072)]
+    grids += zip(10.0 ** rng.uniform(-300, 300, 40), 2 * rng.integers(1, 2500, 40))
+    for t_end, n in grids:
+        g = TimeGrid(t_end=float(t_end), n=int(n))
+        want = np.linspace(0.0, g.t_end, g.n + 1)
+        chunks = [g.node_times(slice(s, s + 1024)) for s in range(0, g.n + 1, 1024)]
+        assert np.concatenate(chunks).tobytes() == want.tobytes(), (t_end, n)
+        assert g.node_times(slice(1, None, 7)).tobytes() == want[1::7].tobytes()
+        assert g.times.tobytes() == want.tobytes()
+
+
 def test_auto_grid_meets_density_rule():
     g = auto_grid(FIG4, 0.25)
     mu_max = spectral_m0sq(FIG4).mu_max
