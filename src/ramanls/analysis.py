@@ -42,7 +42,18 @@ class Trace:
 def rabi_ae(params: RamanParams) -> float:
     """Effective Rabi frequency of the adiabatic-elimination model: the gap
     2r/|Delta| of h_eff = -T/Delta + c I, T the traceless Raman block."""
-    return 2.0 * params.raman_block[2] / np.abs(params.delta_avg)
+    return _quotient(2.0 * params.raman_block[2], np.abs(params.delta_avg),
+                     "the AE Rabi frequency")
+
+
+def _quotient(numerator, denominator, name: str):
+    """numerator / denominator, elementwise; where it overflows, as an AE
+    scale over a |delta_avg| far below the drives does, ValueError."""
+    with np.errstate(over="ignore"):  # reported below
+        quotient = numerator / denominator
+    if not np.isfinite(quotient).all():
+        raise ValueError(f"{name} overflows double precision")
+    return quotient
 
 
 def rabi_exact_delta0(params: RamanParams) -> float:
@@ -62,7 +73,8 @@ def rabi_general(params: RamanParams) -> float:
 def delta_resonant_ae(params: RamanParams) -> float:
     """Two-photon detuning cancelling the AE effective detuning."""
     params.raman_block  # the overflow check
-    return -params.omega_imbalance / (4.0 * params.delta_avg)
+    return _quotient(-params.omega_imbalance, 4.0 * params.delta_avg,
+                     "the AE resonant detuning")
 
 
 def delta_resonant_lightshift(params: RamanParams) -> float:

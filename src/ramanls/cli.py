@@ -22,11 +22,11 @@ the drive keys, dt-end, method and order are combined instead:
     out axis id            text                        out sweep_axis figure_id
 
 Every scenario writes through one path: ``_tables`` yields (path,
-header, blocks) for each CSV, a block being float columns plus a label,
-computed as it is written, and ``_write_csv`` formats each block
-``FORMAT_ROWS`` rows at a time, every cell as ``'%.17g' % cell``, in
-numpy (``_format_rows``).  A pointwise trace is held one such chunk at
-a time, an ls-* trace one full table, a sweep ``CHUNK_ROWS`` points.
+header, tables) for each CSV, a table being its row count, the function
+that gives its float columns on any row slice, and a label; ``_write_csv``,
+the one loop over rows, evaluates and formats each ``FORMAT_ROWS`` rows at
+a time, every cell as ``'%.17g' % cell``, in numpy (``_format_rows``).  A
+pointwise trace is held one chunk at a time, an ls-* trace one table.
 
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
@@ -67,10 +67,9 @@ OBSERVABLES = {
     "rabi-ae": lambda p: rabi_ae(p),
     "amplitude": lambda p: amplitude_p(p),
 }
-#: Points per sweep block.
-CHUNK_ROWS = 4096
-#: Rows per ``_format_rows`` call in ``_write_csv``.  At six columns each
-#: temporary is 48 kB; 4096-row calls measured slower and larger.
+#: Rows per evaluation and ``_format_rows`` call in ``_write_csv``: 48 kB of
+#: floats at six columns, and a formatter word array and its ``tobytes`` copy
+#: of 256 B per trace row each, 262 kB; 4096-row calls measured slower.
 FORMAT_ROWS = 1024
 TRACE_HEADER = ("t", "dt_times_Delta", "p0", "p1", "pe", "norm", "method")
 FIDELITY_HEADER = ("ratio", "omega_r_t", "fidelity")
@@ -293,6 +292,8 @@ def parse_config(argv) -> RunConfig:
             raise UsageError(f"--axis must be one of {', '.join(SWEEP_AXES)}")
         if rc.sweep_from is None or rc.sweep_to is None:
             raise UsageError("sweep needs --from and --to")
+        if not math.isfinite(rc.sweep_to - rc.sweep_from):
+            raise UsageError("--to - --from overflows double precision")
         if rc.points is None or rc.points < 2:
             raise UsageError("sweep needs --points >= 2")
     elif scenario == "figure":
@@ -473,22 +474,25 @@ def _format_rows(values: np.ndarray, tail: str) -> str:
     return words.tobytes().translate(None, b"\0").decode()
 
 
-def _write_csv(fh, header, blocks) -> None:
-    """Write the header, then every (columns, label) block of an open file:
-    one row per entry of its equal-length float columns, each cell as
-    ``'%.17g' % cell``, ending in the label cell unless the label is None."""
+def _write_csv(fh, header, tables) -> None:
+    """Write the header, then every (rows, columns, label) table of an open
+    file, ``columns(s)`` giving the float columns of the row slice ``s``,
+    ``FORMAT_ROWS`` rows at a time: each cell as ``'%.17g' % cell``, each
+    row ending in the label cell unless the label is None."""
     fh.write(",".join(header) + "\n")
-    for columns, label in blocks:
+    for rows, columns, label in tables:
+        # A table whose rows would not fit in memory as one float column
+        # raises MemoryError before any row is evaluated: np.empty touches no page.
+        np.empty(rows)
         tail = ("" if label is None else "," + label) + "\n"
-        for start in range(0, len(columns[0]), FORMAT_ROWS):
-            chunk = np.column_stack([c[start:start + FORMAT_ROWS] for c in columns])
+        for start in range(0, rows, FORMAT_ROWS):
+            chunk = np.column_stack(columns(slice(start, start + FORMAT_ROWS)))
             fh.write(_format_rows(chunk, tail))
 
 
 def _trace_blocks(config: RunConfig):
-    """Yield each method of ``config`` as TRACE_HEADER blocks of
-    ``FORMAT_ROWS`` nodes, on ``points`` intervals rounded up to even (the
-    mandated grid if None, and for ls-* at least that)."""
+    """Yield one TRACE_HEADER table per method of ``config``, on ``points``
+    intervals made even (the mandated grid if None, for ls-* at least that)."""
     params, t_end, points = config.params, config.t_end, config.points
     required = required_intervals(params, t_end)
     n = required if points is None else points + (points % 2)
@@ -497,15 +501,12 @@ def _trace_blocks(config: RunConfig):
               f"hierarchy; raised to {required}", file=sys.stderr)
         n = required
     grid = TimeGrid(t_end=t_end, n=n)
-    # Rows are evaluated a chunk at a time, but a trace whose n + 1 node times
-    # would not fit in memory raises MemoryError: np.empty touches no page.
-    np.empty(n + 1)
     for name, order in config.methods:
         label, populations = trace_rows(name, params, config.psi0, grid, order=order)
-        for start in range(0, n + 1, FORMAT_ROWS):
-            rows = slice(start, start + FORMAT_ROWS)
+        def columns(rows):
             t = grid.node_times(rows)
-            yield (t, t * params.delta_avg, *populations(rows)), label
+            return (t, t * params.delta_avg, *populations(rows))
+        yield n + 1, columns, label
         del populations  # before the next trace is solved
 
 
@@ -521,32 +522,32 @@ def _fidelity_block(bases, omega_r_t_max: float, points: int | None):
                              "omega0 and omega1 must be nonzero")
         pa = replace(base, delta_2ph=delta_resonant_ae(base))
         pb = replace(base, delta_2ph=delta_resonant_lightshift(base))
-        rabi = rabi_ae(pa)
-        if not 0 < rabi < math.inf:
-            raise ValueError(f"the drives give the AE Rabi frequency {rabi:g}: no time scale")
-        times = phase / rabi
-        sa = state_table(h_ae(pa), times, psi0)
-        sb = state_table(h_ae(pb), times, psi0)
-        overlap = np.abs(np.einsum("ta,ta->t", sa.conj(), sb))
+        rabi = float(rabi_ae(pa))
+        if not (0 < rabi < math.inf and omega_r_t_max / rabi < math.inf):
+            raise ValueError(f"the drives give the AE Rabi frequency {rabi:g}: "
+                             f"no time scale for {omega_r_t_max:g} phases")
         ratio = abs(base.omega0) / abs(base.omega1)
-        yield (np.full(len(phase), ratio), phase, overlap), None
+        def columns(rows):
+            times = phase[rows] / rabi
+            sa, sb = (state_table(h_ae(p), times, psi0) for p in (pa, pb))
+            overlap = np.abs(np.einsum("ta,ta->t", sa.conj(), sb))
+            return np.full(len(times), ratio), phase[rows], overlap
+        yield len(phase), columns, None
 
 
 def _sweep_block(config: RunConfig):
-    """Yield the sweep one block of ``CHUNK_ROWS`` points at a time: the
-    axis values and one column per observable.  The swept field of each
-    block is one array, so every observable is evaluated once per block,
-    elementwise."""
+    """Yield the sweep as one table: the axis values and one column per
+    observable, each evaluated once per slice on that slice of the axis."""
     values = np.linspace(config.sweep_from, config.sweep_to, config.points)
     field_name = _AXIS_FIELDS[config.sweep_axis]
-    for start in range(0, len(values), CHUNK_ROWS):
-        chunk = values[start:start + CHUNK_ROWS]
-        params = replace(config.params, **{field_name: chunk})
-        yield (chunk, *(OBSERVABLES[o](params) for o in config.observables)), None
+    def columns(rows):
+        params = replace(config.params, **{field_name: values[rows]})
+        return (values[rows], *(OBSERVABLES[o](params) for o in config.observables))
+    yield len(values), columns, None
 
 
 def _tables(config: RunConfig):
-    """Yield (path, header, blocks) for every CSV the scenario writes."""
+    """Yield (path, header, tables) for every CSV the scenario writes."""
     if config.scenario == "figure":
         ids = PRESET_GROUPS.get(config.figure_id, [config.figure_id])
         base = Path(config.out or ".")
@@ -582,10 +583,10 @@ def run(config: RunConfig) -> list[Path]:
     """
     written: list[Path] = []
     try:
-        for path, header, blocks in _tables(config):
+        for path, header, tables in _tables(config):
             with open(path, "w", newline="\n") as fh:
                 written.append(path)
-                _write_csv(fh, header, blocks)
+                _write_csv(fh, header, tables)
     except Exception as exc:
         for path in written:
             path.unlink(missing_ok=True)

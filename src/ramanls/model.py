@@ -176,6 +176,8 @@ def spectral_m0sq(params: RamanParams) -> SpectralData:
     """
     a, b, r, mu_plus_sq, mu_minus_sq = params.raman_block
     d = params.delta_avg
+    if 0 < r < np.finfo(float).tiny:  # numpy divides by r through 1/r: scale first
+        a, b, r = (x * 2.0 ** 64 for x in (a, b, r))
     t = np.diag([1.0, -1.0]) if r == 0 else np.array([[a, b], [np.conj(b), -a]]) / r
     proj = np.zeros((3, 3, 3), dtype=complex)
     proj[0, :2, :2] = 0.5 * (np.eye(2) + t)

@@ -26,15 +26,16 @@ def sinc_sqrt(lam, t):
     exact without ever choosing a square-root sign.  Outside it, lam < 0
     raises ValueError.
     """
-    lam = np.asarray(lam, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x = lam * t * t
-    small = np.abs(x) < 1e-8
+    lam, t = np.asarray(lam, dtype=float), np.asarray(t, dtype=float)
+    root = np.sqrt(np.abs(lam))
+    # root |t| < 1e-4, without the product, which may overflow
+    small = np.abs(t) < np.divide(1e-4, root, out=np.full(root.shape, np.inf), where=root > 0)
     if np.any((lam < 0) & ~small):  # then the most negative lam is outside too
         raise ValueError(f"sinc_sqrt needs lam >= 0 where |lam| t^2 >= 1e-8; "
                          f"got lam = {lam.min():g}")
-    root = np.sqrt(np.maximum(lam, 0.0))
-    direct = np.sin(root * t) / np.where(small, 1.0, root)
-    series = t * (1.0 - x / 6.0 + x * x / 120.0)
-    out = np.where(small, series, direct)
+    out = np.sin(root * t, out=np.empty(small.shape))
+    np.divide(out, root, out=out, where=~small)
+    ts = np.broadcast_to(t, small.shape)[small]
+    x = np.broadcast_to(lam, small.shape)[small] * ts * ts
+    out[small] = ts * (1.0 - x / 6.0 + x * x / 120.0)
     return float(out) if out.ndim == 0 else out

@@ -21,8 +21,12 @@ from .numerics import eig_h3, sinc_sqrt
 def modal_states(rates, vectors, coeffs, times) -> np.ndarray:
     """The states sum_m exp(r_m t) c_m v_m, v_m the columns of ``vectors``,
     one row per time.  A row reads its own time alone, so a slice of
-    ``times`` gives the rows of the whole bit for bit."""
+    ``times`` gives the rows of the whole bit for bit.  A rate times a time
+    beyond double range raises ValueError."""
     t = np.asarray(times, dtype=float)[:, None]
+    t_max = float(np.abs(t).max(initial=0.0))
+    if not math.isfinite(float(np.abs(rates).max()) * t_max):
+        raise ValueError(f"the phases overflow double precision at t = {t_max:g}")
     weighted = np.asarray(vectors) * coeffs
     return sum(np.exp(r * t) * w for r, w in zip(rates, weighted.T))
 

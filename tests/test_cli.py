@@ -1,16 +1,23 @@
+import contextlib
 import io
+import shutil
+import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ramanls import cli
-from ramanls.analysis import METHODS, amplitude_p, rabi_general, trace_populations
+from ramanls.analysis import (METHODS, amplitude_p, delta_resonant_ae,
+                              delta_resonant_lightshift, rabi_ae, rabi_general,
+                              trace_populations)
 from ramanls.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, UsageError,
                          parse_complex_literal, parse_config)
 from ramanls.lippmann_schwinger import TimeGrid, required_intervals
-from ramanls.model import RamanParams
+from ramanls.model import RamanParams, h_ae
+from ramanls.propagators import state_table
 
 from propagator_oracle import fidelity_by_definition
 
@@ -538,7 +545,7 @@ def test_sweep_rows_match_library(tmp_path):
 
 
 def per_row_csv(header, blocks):
-    """The CSV text of ``blocks`` formatted one row at a time."""
+    """The CSV text of (columns, label) ``blocks`` formatted one row at a time."""
     lines = [",".join(header)]
     for columns, label in blocks:
         for values in zip(*columns):
@@ -547,20 +554,23 @@ def per_row_csv(header, blocks):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("rows", [cli.CHUNK_ROWS - 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("rows", [cli.FORMAT_ROWS - 1, cli.FORMAT_ROWS, cli.FORMAT_ROWS + 1])
 def test_write_csv_chunks_give_per_row_bytes(rows):
     rng = np.random.default_rng(rows)
     cols = (rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows),
             np.linspace(0.0, 1.0, rows), np.full(rows, -0.0), rng.uniform(size=rows))
     blocks = [(cols, "ls-S-k1"), (cols[:2], None), ((cols[0][:1],), "x")]
+    # Each table hands out the slices the writer asks for, and nothing else.
+    tables = [(len(columns[0]), lambda s, columns=columns: [c[s] for c in columns], label)
+              for columns, label in blocks]
     fh = io.StringIO()
-    cli._write_csv(fh, ("a", "b", "c", "d"), iter(blocks))
+    cli._write_csv(fh, ("a", "b", "c", "d"), iter(tables))
     assert fh.getvalue() == per_row_csv(("a", "b", "c", "d"), blocks)
 
 
 def test_sweep_over_several_chunks_matches_observables(tmp_path):
     out = tmp_path / "sweep.csv"
-    points = 2 * cli.CHUNK_ROWS + 3
+    points = 2 * cli.FORMAT_ROWS + 3
     assert cli.main(["sweep", "--delta-avg", "400", "--omega0", "200",
                      "--omega1", "120", "--axis", "omega1", "--from", "-40",
                      "--to", "130", "--points", str(points),
@@ -585,8 +595,8 @@ def test_sweep_chunks_match_scalar_calls_on_every_axis(tmp_path, axis, lo, hi):
     # With points - 1 = 17 * 2**j, the omega1 step 340/(points - 1) = 20/2**j
     # is exact, so node 2**(j+1) is exactly 0; j is the least for which the
     # sweep spans more than two chunks.
-    points = 17 * 2 ** (2 * cli.CHUNK_ROWS // 17).bit_length() + 1
-    assert points > 2 * cli.CHUNK_ROWS
+    points = 17 * 2 ** (2 * cli.FORMAT_ROWS // 17).bit_length() + 1
+    assert points > 2 * cli.FORMAT_ROWS
     assert cli.main(["sweep", "--delta-avg", "400", "--delta", "-16",
                      "--omega0", "120+160i", "--omega1", "-30+70i", "--axis", axis,
                      "--from", str(lo), "--to", str(hi), "--points", str(points),
@@ -870,3 +880,193 @@ def test_smallest_accepted_fidelity_horizon_and_sweep(tmp_path):
     out = tmp_path / "s.csv"
     assert cli.main(SWEEP[:-1] + ["2", "--observable", "rabi", "--out", str(out)]) == EXIT_OK
     assert [line.split(",")[0] for line in read_lines(out)] == ["delta", "-1", "1"]
+
+
+# --------------------------------------------- overflowing edge inputs
+
+
+def test_sweep_range_that_overflows_is_one_usage_line(tmp_path, capsys):
+    # to - from overflows: np.linspace would warn, then write no finite row.
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--delta-avg", "400", "--omega0", "200", "--omega1", "120",
+                     "--axis", "delta", "--from", "-1e308", "--to", "1e308",
+                     "--points", "3", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: --to - --from overflows double precision\n"
+    assert not out.exists()
+
+
+def test_delta0_at_a_horizon_where_lam_t_squared_overflows(tmp_path, capsys):
+    # The rows are finite; what they mean at t = 1e300 is another matter.
+    out = tmp_path / "t.csv"
+    assert cli.main(["evolve", "--delta-avg", "400", "--omega0", "200", "--omega1", "120",
+                     "--t-end", "1e300", "--points", "2", "--method", "delta0",
+                     "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    rows = np.array([line.split(",")[:-1] for line in read_lines(out)[1:]], dtype=float)
+    assert rows.shape == (3, 6) and np.isfinite(rows).all()
+
+
+def test_fidelity_whose_phases_overflow_fails_without_output(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert cli.main(["fidelity", "--delta-avg", "400", "--omega0", "200", "--omega1", "40",
+                     "--omega-r-t-max", "1e308", "--points", "3",
+                     "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in scenario fidelity: the phases overflow "
+                          "double precision") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base", [RamanParams(400.0, 0.0, 120.0 + 0j, 40.0 + 0j),
+                                  RamanParams(-300.0, 0.0, 120 + 160j, -30 + 70j)],
+                         ids=["real", "complex"])
+def test_fidelity_across_write_chunks_equals_one_shot_overlap(tmp_path, base):
+    # Two full write chunks and a partial one of 3 rows, each chunk evolved
+    # on its own, against both evolutions over all 2051 phases at once.
+    points = 2 * cli.FORMAT_ROWS + 3
+    out = tmp_path / "f.csv"
+    assert cli.main(["fidelity", f"--delta-avg={base.delta_avg}",
+                     f"--omega0={base.omega0.real}{base.omega0.imag:+}i",
+                     f"--omega1={base.omega1.real}{base.omega1.imag:+}i",
+                     "--points", str(points), "--out", str(out)]) == EXIT_OK
+    phase = np.linspace(0.0, 7.0, points)
+    pa = replace(base, delta_2ph=delta_resonant_ae(base))
+    pb = replace(base, delta_2ph=delta_resonant_lightshift(base))
+    times = phase / rabi_ae(pa)
+    sa, sb = (state_table(h_ae(p), times, [1.0, 0.0, 0.0]) for p in (pa, pb))
+    overlap = np.abs(np.einsum("ta,ta->t", sa.conj(), sb))
+    ratio = np.full(points, abs(base.omega0) / abs(base.omega1))
+    assert out.read_text() == per_row_csv(cli.FIDELITY_HEADER,
+                                          [((ratio, phase, overlap), None)])
+
+
+# ------------------------------------------------ the CLI as a property
+
+#: Value texts every key may be handed: signed zeros, a subnormal, the
+#: double range's ends, non-finite text and a bare imaginary unit.
+EDGE_TEXTS = ["0", "-0", "5e-324", "1e-300", "-1e-300", "1e300", "-1e300", "1e308",
+              "-1e308", "nan", "inf", "-inf", "-i"]
+#: Ordinary texts per key, so that some runs get past parsing.
+KEY_TEXTS = {
+    "delta-avg": ["400", "-300", "1"], "delta": ["-16", "3", "0"],
+    "omega0": ["200", "120+160i", "1e-200"], "omega1": ["120", "-30+70i", "0"],
+    "t-end": ["0.3", "1e-6", "1e5"], "dt-end": ["100", "4000"],
+    "from": ["-40", "-300"], "to": ["40", "300"], "omega-r-t-max": ["7", "0.5"],
+    "points": ["1", "2", "3", "8"], "order": ["0", "2", "65"],
+    "psi0": ["1,0,0", "0.6,0.8i,0", "0,0,1", "0,0,0", "1e300,1e-300,0"],
+    "method": [",".join(m) for m in (*((m,) for m in METHODS), ("ae", "ode"),
+                                     ("exact-new", "ls-S"))],
+    "observable": ["rabi", "rabi,rabi-ae,amplitude", "amplitude"],
+    "axis": [*cli.SWEEP_AXES, "t"], "id": [*cli.PRESETS, *cli.PRESET_GROUPS, "7"],
+}
+#: How often a key is given an ordinary text, an edge text or none: keys a
+#: run needs are mostly given, and names mostly valid, so that many runs
+#: compute; ``points`` is always given, so that every example is quick.
+SOURCES = {
+    **dict.fromkeys(("delta-avg", "omega0", "omega1", "t-end", "from", "to"),
+                    ("usual",) * 9 + ("edge",) * 2 + ("none",)),
+    **dict.fromkeys(("delta", "omega-r-t-max"), ("usual", "edge", "none")),
+    **dict.fromkeys(("method", "observable", "axis", "id"),
+                    ("usual",) * 8 + ("edge", "none")),
+    **dict.fromkeys(("psi0", "order"), ("usual",) * 2 + ("edge",) + ("none",) * 3),
+    "dt-end": ("usual", "edge") + ("none",) * 5, "points": ("usual",) * 7 + ("edge",),
+    "out": ("none",),
+}
+
+
+@st.composite
+def cli_runs(draw):
+    """A scenario, each key it reads at most once as (key, text, spelling) in
+    a drawn order, and whether its config file holds byte 0xff."""
+    scenario = draw(st.sampled_from(list(cli.SCENARIO_KEYS)))
+    items = []
+    for key in cli.SCENARIO_KEYS[scenario]:
+        source = draw(st.sampled_from(SOURCES[key]))
+        if source != "none":
+            text = draw(st.sampled_from(KEY_TEXTS[key] if source == "usual" else EDGE_TEXTS))
+            items.append((key, text, draw(st.sampled_from(["spaced", "attached", "config"]))))
+    return scenario, draw(st.permutations(items)), draw(st.sampled_from([False] * 15 + [True]))
+
+
+def cli_argv(scenario, items, bad_byte, cfg):
+    """The argv of a drawn run, its config lines written to ``cfg`` (with
+    byte 0xff when ``bad_byte``) if it has any."""
+    argv, lines = [scenario], []
+    for key, text, spelling in items:
+        if spelling == "config":
+            lines.append(f"{key} = {text}\n".encode())
+        else:
+            argv += [f"--{key}", text] if spelling == "spaced" else [f"--{key}={text}"]
+    if lines or bad_byte:
+        cfg.write_bytes(b"".join(lines) + (b"# \xff\n" if bad_byte else b""))
+        argv += ["--config", str(cfg)]
+    return argv
+
+
+def spaced(text):
+    """A run spelt as ``--key value`` pairs, in the form ``cli_runs`` draws."""
+    scenario, *tokens = text.split()
+    return scenario, [(k[2:], v, "spaced") for k, v in zip(tokens[::2], tokens[1::2])], False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_runs())
+# to - from overflows in np.linspace
+@example(spaced("sweep --delta-avg 400 --omega0 200 --omega1 120 --axis delta "
+                "--from -1e308 --to 1e308 --points 3"))
+# lam t^2 overflows in sinc_sqrt
+@example(spaced("evolve --delta-avg 400 --omega0 200 --omega1 120 --t-end 1e300 "
+                "--points 2 --method delta0"))
+# lam t overflows in modal_states
+@example(spaced("fidelity --delta-avg 400 --omega0 200 --omega1 40 "
+                "--omega-r-t-max 1e308 --points 3"))
+# phase / rabi_ae overflows
+@example(spaced("fidelity --delta-avg 400 --omega0 1e-200 --omega1 120 "
+                "--omega-r-t-max 1e308 --points 3"))
+# the AE resonant detuning overflows
+@example(spaced("fidelity --delta-avg 5e-324 --omega0 120+160i --omega1 5e-324 --points 3"))
+# rabi_ae overflows
+@example(spaced("sweep --delta-avg 5e-324 --omega0 1e-300 --omega1 120 --axis delta "
+                "--from -300 --to 300 --points 3 --observable rabi-ae"))
+# 1/r overflows in spectral_m0sq, r the subnormal half-gap of the Raman block
+@example(spaced("compare --delta-avg 400 --delta 1e-322 --omega0 0 --omega1 0 --t-end 1 "
+                "--points 2 --method m0eff,ae,ls-R"))
+def test_every_cli_run_succeeds_finite_or_fails_in_one_line(tmp_path_factory, run):
+    # In-process, warnings being errors: every run exits 0 with finite cells,
+    # or exits 2 or 3 with one failure line (after at most the notice that
+    # ls-* raised --points) and leaves no file.
+    scenario, items, bad_byte = run
+    work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    try:
+        argv = cli_argv(scenario, items, bad_byte, work / "run.cfg")
+        try:
+            config = parse_config(argv)
+            if any(m.startswith("ls-") for m, _ in config.methods):
+                # A full-grid ls-* table grows with the mandated grid.
+                assume(required_intervals(config.params, config.t_end) <= 10_000)
+        except (UsageError, ValueError, ArithmeticError):
+            pass
+        out = work / "out"
+        out.mkdir()
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv + ["--out", str(out / "o.csv")])
+        lines = stderr.getvalue().splitlines()
+        files = [p for p in out.rglob("*") if p.is_file()]
+        if code == EXIT_OK:
+            assert files and all(line.startswith("notice: ") for line in lines), argv
+            for path in files:
+                text = path.read_text().splitlines()
+                numeric = [i for i, name in enumerate(text[0].split(",")) if name != "method"]
+                cells = np.array([[row.split(",")[i] for i in numeric] for row in text[1:]],
+                                 dtype=float)
+                assert np.isfinite(cells).all(), (argv, path)
+        else:
+            assert code in (EXIT_USAGE, EXIT_NUMERICAL), (argv, code)
+            assert lines and lines[-1].startswith(
+                ("usage error: ", "numerical failure in scenario ")), (argv, lines)
+            assert all(line.startswith("notice: --points ") and "raised to" in line
+                       for line in lines[:-1]), (argv, lines)
+            assert files == [], (argv, files)
+    finally:
+        shutil.rmtree(work)

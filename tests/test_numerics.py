@@ -100,3 +100,12 @@ def test_sinc_sqrt_rejects_negative_lam_outside_series_range():
     # inside the series range |lam| t^2 < 1e-8 the series value stands
     assert sinc_sqrt(-1e-10, 1.0) == pytest.approx(1.0 + 1e-10 / 6.0, rel=1e-15)
     assert sinc_sqrt(-4.0, 0.0) == 0.0
+
+
+def test_sinc_sqrt_is_quiet_where_lam_t_squared_overflows():
+    # lam t^2 overflows at t = 1e300: neither the small-argument test nor
+    # the series may warn there, and each entry is its own branch's value.
+    t = np.array([0.0, 1e-300, 1e300])
+    out = sinc_sqrt(np.array([[0.0], [4e4]]), t)
+    assert out[0].tolist() == t.tolist()
+    assert out[1].tolist() == [0.0, 1e-300, np.sin(200.0 * 1e300) / 200.0]
