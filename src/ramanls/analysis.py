@@ -10,8 +10,8 @@ value per parameter point, equal bit for bit to the scalar call there.
 ``trace_populations`` records a population trace by any method, and
 ``trace_rows`` gives one on any slice of the grid nodes.  The non-LS
 methods are pointwise: each solves one spectrum per trace and is then a
-function of t alone, ``propagators.modal_states`` on it for all but
-``delta0``, so a CLI trace is held one chunk at a time.
+function of t alone, ``propagators.modal_states`` on it, so a CLI trace
+is held one chunk at a time.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lippmann_schwinger import (TimeGrid, Variant, _u0_table, apply_normalized,
-                                 _initial_state, iterate)
+from .lippmann_schwinger import TimeGrid, Variant, apply_normalized, _initial_state, iterate
 from .model import RamanParams, _modulus, h_ae, h_new, spectral_m0sq
 from .numerics import eig_h3
-from .propagators import modal_states, mode_factors, rk4_steps
+from .propagators import modal_states, rk4_steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,15 +106,17 @@ def _eigen(h, psi0, grid, rk4=False):
     z^2/2 + z^3/6 + z^4/24 at z = -i lam_m dt/s, so RK4 is the exact state
     with each rate -i lam_m replaced by log(p(z_m)^s)/dt = -i lam_m +
     (s/dt) d(z_m), d(z) = log p(z) - z = -z^5/120 + z^6/144 - z^7/336 +
-    z^8/1152 - z^9/5184 + O(z^11): rounding at the |z| <= 0.05 that s keeps."""
+    z^8/1152 - z^9/5184 + O(z^11): rounding at the |z| <= 0.05 that s keeps.
+    Where every d underflows (dt = 0 too), the s/dt that may overflow is not formed."""
     lam, v = eig_h3(h)
-    rates, coeffs = -1j * lam, v.conj().T @ psi0
+    rates, vectors = -1j * lam, v * (v.conj().T @ psi0)
     if rk4:
         s = rk4_steps(h, grid.dt)
         z = rates * (grid.dt / s)
         d = z ** 5 * (-1 / 120 + z * (1 / 144 + z * (-1 / 336 + z * (1 / 1152 - z / 5184))))
-        rates = rates + (s / grid.dt) * d
-    return lambda rows: modal_states(rates, v, coeffs, grid.node_times(rows))
+        if d.any():
+            rates = rates + (s / grid.dt) * d
+    return lambda rows: modal_states(rates, vectors, grid.node_times(rows))
 
 
 def _beat(method, omega):
@@ -130,17 +131,23 @@ def _beat(method, omega):
         p_plus, p_minus = spectral_m0sq(params).projectors[:2]
         vectors = np.stack([p_minus @ psi0, p_plus @ psi0], axis=1)
         rates = (0.0, 1j * omega(params))
-        return lambda rows: modal_states(rates, vectors, (1.0, 1.0), grid.node_times(rows))
+        return lambda rows: modal_states(rates, vectors, grid.node_times(rows))
     return states
 
 
 def _delta0(params, psi0, grid, order):
+    """exp(-i H t) psi0 at zero two-photon detuning, where H commutes with
+    M0^2: -Delta/2 on the dark projector P-, and +-mu_e on Q (I +- H/mu_e)/2
+    for Q = P+ + Pe, where H^2 = mu_e^2 >= Delta^2/4 > 0."""
     if params.delta_2ph != 0.0:
         raise ValueError("method delta0 requires zero two-photon detuning")
-    # H commutes with M0^2 at zero two-photon detuning, so U0 is exact.
     sd, h = spectral_m0sq(params), h_new(params)
-    return lambda rows: np.einsum("abt,b->ta", _u0_table(
-        Variant.R, sd.projectors, h, *mode_factors(sd, grid.node_times(rows))), psi0)
+    mu_e = np.sqrt(sd.mu_sq[2])
+    q = (sd.projectors[0] + sd.projectors[2]) @ psi0
+    hq = (h @ q) / mu_e
+    vectors = np.stack([sd.projectors[1] @ psi0, 0.5 * (q + hq), 0.5 * (q - hq)], axis=1)
+    rates = (0.5j * params.delta_avg, -1j * mu_e, 1j * mu_e)
+    return lambda rows: modal_states(rates, vectors, grid.node_times(rows))
 
 
 def _ls(variant):

@@ -54,7 +54,7 @@ from enum import Enum
 import numpy as np
 
 from .model import RamanParams, SpectralData, h_new, spectral_m0sq, split_square
-from .propagators import mode_factors
+from .numerics import sinc_sqrt
 
 #: Largest allowed phase advance of the fastest mode per grid step.
 GRID_PHASE_LIMIT = math.pi / 20.0
@@ -104,9 +104,11 @@ class TimeGrid:
 
 
 def required_intervals(params: RamanParams, t_end: float) -> int:
-    """Smallest even interval count satisfying dt * mu_max <= pi/20."""
-    mu_max = spectral_m0sq(params).mu_max
-    n = int(math.ceil(t_end * mu_max / GRID_PHASE_LIMIT))
+    """Smallest even interval count with dt * mu_max <= pi/20; ValueError on overflow."""
+    count = t_end * spectral_m0sq(params).mu_max / GRID_PHASE_LIMIT
+    if not math.isfinite(count):
+        raise ValueError(f"t_end = {t_end:g} needs more grid intervals than a double holds")
+    n = int(math.ceil(count))
     return max(2, n + (n % 2))
 
 
@@ -243,7 +245,8 @@ def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
     variant = Variant(variant)
     born_order(order)
     sd = validate_grid(grid, params)
-    modes = mode_factors(sd, grid.times)
+    mu_sq = sd.mu_sq[:, None]  # C_m and S_m as (3, n+1) rows, even in mu_m
+    modes = np.cos(np.sqrt(mu_sq) * grid.times), sinc_sqrt(mu_sq, grid.times)
     h = h_new(params)
     if order:
         step = (split_square(params), grid.dt, *modes, _mode_basis(sd.projectors))

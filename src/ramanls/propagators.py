@@ -1,11 +1,9 @@
 """Propagators for the driven three-level system.
 
-``modal_states`` evaluates sum_m exp(r_m t) c_m v_m, the form of the
-exact states (``state_table``), of RK4 in ``rk4_steps`` substeps and of
-the two-level beats.  ``ae_model`` returns the adiabatic-elimination
-h_eff for library callers.  ``mode_factors`` gives the cos/sinc factors
-of the modes of the squared Hamiltonian's block-diagonal part, each an
-even function of mu, so no square-root sign ever has to be chosen.
+``modal_states`` evaluates sum_m exp(r_m t) v_m, the form of the exact
+states (``state_table``), of RK4 in ``rk4_steps`` substeps, of the
+zero-detuning modes and of the two-level beats.  ``ae_model`` returns
+the adiabatic-elimination h_eff for library callers.
 """
 
 from __future__ import annotations
@@ -14,12 +12,12 @@ import math
 
 import numpy as np
 
-from .model import RamanParams, SpectralData
-from .numerics import eig_h3, sinc_sqrt
+from .model import RamanParams
+from .numerics import eig_h3
 
 
-def modal_states(rates, vectors, coeffs, times) -> np.ndarray:
-    """The states sum_m exp(r_m t) c_m v_m, v_m the columns of ``vectors``,
+def modal_states(rates, vectors, times) -> np.ndarray:
+    """The states sum_m exp(r_m t) v_m, v_m the columns of ``vectors``,
     one row per time.  A row reads its own time alone, so a slice of
     ``times`` gives the rows of the whole bit for bit.  A rate times a time
     beyond double range raises ValueError."""
@@ -27,14 +25,13 @@ def modal_states(rates, vectors, coeffs, times) -> np.ndarray:
     t_max = float(np.abs(t).max(initial=0.0))
     if not math.isfinite(float(np.abs(rates).max()) * t_max):
         raise ValueError(f"the phases overflow double precision at t = {t_max:g}")
-    weighted = np.asarray(vectors) * coeffs
-    return sum(np.exp(r * t) * w for r, w in zip(rates, weighted.T))
+    return sum(np.exp(r * t) * v for r, v in zip(rates, np.asarray(vectors).T))
 
 
 def state_table(h: np.ndarray, times: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     """States exp(-i h t) psi0 at every requested time, one eigensolve."""
     lam, v = eig_h3(h)
-    return modal_states(-1j * lam, v, v.conj().T @ np.asarray(psi0, complex), times)
+    return modal_states(-1j * lam, v * (v.conj().T @ np.asarray(psi0, complex)), times)
 
 
 def rk4_steps(h: np.ndarray, span: float) -> int:
@@ -55,13 +52,3 @@ def ae_model(params: RamanParams) -> np.ndarray:
     d = params.delta_avg
     t = np.array([[a, b], [np.conj(b), -a]], dtype=complex)
     return -t / d - np.diag(np.full(2, params.omega_sq / (8.0 * d)))
-
-
-def mode_factors(sd: SpectralData, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(mu_m t) and sin(mu_m t)/mu_m of the three modes of M0^2.
-
-    Both are (3, len(times)) arrays, time last, one row per projector of
-    ``sd``, evaluated from mu_m^2 >= 0 so that mu_m -> 0 never divides.
-    """
-    mu_sq = sd.mu_sq[:, None]
-    return np.cos(np.sqrt(mu_sq) * times), sinc_sqrt(mu_sq, times)

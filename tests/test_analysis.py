@@ -159,6 +159,16 @@ def test_trace_delta0_matches_exact():
         assert np.abs(a - b).max() <= 1e-10
 
 
+@pytest.mark.parametrize("ratio", [1e-5, 1e-6])
+def test_trace_delta0_transfer_peak_accurate_at_weak_drive(ratio):
+    # By the peak at rabi_general t = pi the dark and dressed modes turn
+    # ~5e10 rad (1e-5) and ~5e12 rad (1e-6); p1 reads only their differences.
+    p = RamanParams(400.0, 0.0, 400.0 * ratio, 0.6 * 400.0 * ratio)
+    grid = TimeGrid(t_end=np.pi / rabi_general(p), n=2)
+    trace = trace_populations("delta0", p, PSI0, grid)
+    assert trace.p1[-1] == pytest.approx(amplitude_p(p), abs=1e-9)
+
+
 def test_trace_ode_matches_exact():
     # RK4 steps of 2.5e-5, one per grid interval.
     grid = TimeGrid(t_end=0.25, n=10000)

@@ -906,6 +906,32 @@ def test_delta0_at_a_horizon_where_lam_t_squared_overflows(tmp_path, capsys):
     assert rows.shape == (3, 6) and np.isfinite(rows).all()
 
 
+@pytest.mark.parametrize("t_end", ["5e-324", "1e-320"])
+def test_ode_on_a_step_that_underflows_gives_exact_new_rows(tmp_path, capsys, t_end):
+    # dt = t_end / 2 rounds to zero, or is so small that RK4's error term
+    # underflows to zero while s/dt overflows: either way the step is exact.
+    rows = {}
+    for method in ("ode", "exact-new"):
+        out = tmp_path / f"{method}.csv"
+        assert cli.main(["evolve", "--delta-avg", "400", "--omega0", "200",
+                         "--omega1", "120", "--t-end", t_end, "--points", "2",
+                         "--method", method, "--out", str(out)]) == EXIT_OK
+        rows[method] = [line.rsplit(",", 1)[0] for line in read_lines(out)]
+    assert capsys.readouterr().err == ""
+    assert len(rows["ode"]) == 4 and rows["ode"] == rows["exact-new"]
+
+
+def test_grid_interval_count_that_overflows_names_t_end(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert cli.main(["evolve", "--delta-avg", "400", "--omega0", "200", "--omega1", "120",
+                     "--t-end", "1e307", "--points", "2", "--method", "exact-new",
+                     "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure in scenario evolve: t_end = 1e+307 needs more grid intervals "
+        "than a double holds\n")
+    assert not out.exists()
+
+
 def test_fidelity_whose_phases_overflow_fails_without_output(tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert cli.main(["fidelity", "--delta-avg", "400", "--omega0", "200", "--omega1", "40",
@@ -1014,9 +1040,12 @@ def spaced(text):
 # to - from overflows in np.linspace
 @example(spaced("sweep --delta-avg 400 --omega0 200 --omega1 120 --axis delta "
                 "--from -1e308 --to 1e308 --points 3"))
-# lam t^2 overflows in sinc_sqrt
+# delta0 phases mu_e t ~ 2e302 rad: finite, though no row resolves them
 @example(spaced("evolve --delta-avg 400 --omega0 200 --omega1 120 --t-end 1e300 "
                 "--points 2 --method delta0"))
+# dt underflows to zero on an RK4 trace
+@example(spaced("evolve --delta-avg 400 --omega0 200 --omega1 120 --t-end 5e-324 "
+                "--points 2 --method ode"))
 # lam t overflows in modal_states
 @example(spaced("fidelity --delta-avg 400 --omega0 200 --omega1 40 "
                 "--omega-r-t-max 1e308 --points 3"))

@@ -1,7 +1,7 @@
 """The oracles compute their references from definitions, not from the
 package code they check.
 
-An oracle that imported the package's spectral data, mode factors,
+An oracle that imported the package's spectral data, sinc factors,
 zeroth-order table, remainder, eigensolver, AE Rabi frequency or RK4
 map would compare that code with itself.  This parses the imports of
 each oracle module and fails on any of those names, and on a plain
@@ -15,7 +15,7 @@ import pytest
 
 ORACLES = ("ls_quadratic.py", "propagator_oracle.py", "spectral_oracle.py",
            "born_oracle.py")
-FORBIDDEN = {"spectral_m0sq", "mode_factors", "_u0_table", "split_square",
+FORBIDDEN = {"spectral_m0sq", "sinc_sqrt", "_u0_table", "split_square",
              "eig_h3", "rabi_ae", "rk4", "rk4_steps"}
 
 
