@@ -6,11 +6,10 @@ is its flag ``--key`` and its config-file key alike, a flag winning over
 a config line.  ``parse_config`` splits argv by that table alone: the
 scenario first, then ``--key value`` or ``--key=value``, where the token
 after a key flag is its value unless it is itself an option name (so
-``--omega1 -i`` sets omega1); the last of a repeated key wins, any other
-token is a one-line usage error, and ``-h`` lists the scenarios or the
-keys of one.  It converts each key's text once, by its rule in
-``_PARSERS``, and ``_FIELDS`` stores the value in its RunConfig field;
-the drive keys, dt-end, method and order are combined instead:
+``--omega1 -i`` sets omega1); the last of a repeated key wins, and any
+other token is a usage error.  It converts each key's text once, by its
+rule in ``_PARSERS``, and ``_FIELDS`` stores the value in its RunConfig
+field; the drive keys, dt-end, method and order are combined instead:
 
     delta-avg delta        finite float                params; delta 0 if absent
     omega0 omega1          complex literal 'a+bi'      params
@@ -30,9 +29,10 @@ pointwise trace is held one chunk at a time, an ls-* trace one table.
 
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
-figure presets.  Exit codes: 0 success, 2 usage error (an output path
-that cannot be written included), 3 numerical failure (an array too
-large for memory included).
+figure presets.  ``main`` alone prints help and decides every exit
+code: 0 success, 2 usage error (an output path that cannot be written
+included), 3 numerical failure (an array too large for memory, or
+phases past 2**52 rad, included).
 """
 
 from __future__ import annotations
@@ -216,18 +216,9 @@ def values_from_text(text: str, keys) -> dict[str, str]:
 
 def parse_config(argv) -> RunConfig:
     """Parse argv (and the ``--config`` file it names) into a validated
-    RunConfig.  ``-h`` or ``--help`` prints the scenarios, or the keys of
-    the scenario, and raises SystemExit(0)."""
-    args = sys.argv[1:] if argv is None else list(argv)
+    RunConfig; any fault in them raises UsageError."""
+    args = list(argv)
     scenario = args[0] if args else None
-    if "-h" in args or "--help" in args:
-        if scenario in SCENARIO_KEYS:
-            print(f"usage: ramanls {scenario} --key value | --key=value ...; keys:",
-                  *(f"--{key}" for key in SCENARIO_KEYS[scenario]), "--config", sep="\n  ")
-        else:
-            print("usage: ramanls SCENARIO -h | SCENARIO --key value ...; scenarios:",
-                  *SCENARIO_KEYS, sep="\n  ")
-        raise SystemExit(EXIT_OK)
     if scenario not in SCENARIO_KEYS:
         raise UsageError(("missing scenario" if scenario is None else
                           f"unknown scenario {scenario!r}")
@@ -248,9 +239,9 @@ def parse_config(argv) -> RunConfig:
     config_file = text.pop("config", None)
     if config_file is not None:
         path = Path(config_file)
-        if not path.is_file():
-            raise UsageError(f"config file not found: {config_file}")
-        try:
+        try:  # is_file itself raises on a name too long for the system
+            if not path.is_file():
+                raise UsageError(f"config file not found: {config_file}")
             text = {**values_from_text(path.read_text(), keys), **text}
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file {config_file}: {exc}") from None
@@ -574,43 +565,49 @@ def _tables(config: RunConfig):
         yield Path(config.out or "trace.csv"), TRACE_HEADER, _trace_blocks(config)
 
 
-def run(config: RunConfig) -> list[Path]:
-    """Execute a RunConfig; returns the written paths.
-
-    Any numerical rejection from the library surfaces as ValueError (or
-    MemoryError), and a path that cannot be written as UsageError, after
-    the files this run opened for writing have been removed.
-    """
+def run(config: RunConfig) -> None:
+    """Write every CSV of a RunConfig.  On any failure (OSError for a path
+    that cannot be written, ValueError or MemoryError from the library) the
+    files this run opened for writing are removed and the error propagates."""
     written: list[Path] = []
     try:
         for path, header, tables in _tables(config):
             with open(path, "w", newline="\n") as fh:
                 written.append(path)
                 _write_csv(fh, header, tables)
-    except Exception as exc:
+    except Exception:
         for path in written:
             path.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise UsageError(f"cannot write {exc.filename or config.out}: "
-                             f"{exc.strerror}") from None
         raise
-    return written
 
 
 def main(argv=None) -> int:
+    """Run the CLI on argv (``sys.argv[1:]`` if None) and return its exit
+    code, printing help or the one line that says why the run failed.
+    Every exit code is decided here and nowhere else."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in args or "--help" in args:
+        if args[0] in SCENARIO_KEYS:
+            print(f"usage: ramanls {args[0]} --key value | --key=value ...; keys:",
+                  *(f"--{key}" for key in SCENARIO_KEYS[args[0]]), "--config", sep="\n  ")
+        else:
+            print("usage: ramanls SCENARIO -h | SCENARIO --key value ...; scenarios:",
+                  *SCENARIO_KEYS, sep="\n  ")
+        return EXIT_OK
     try:
-        config = parse_config(argv)
-        try:
-            run(config)
-        except (ValueError, ArithmeticError, MemoryError) as exc:
-            print(f"numerical failure in scenario {config.scenario}: {exc}",
-                  file=sys.stderr)
-            return EXIT_NUMERICAL
+        config = parse_config(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    try:
+        run(config)
+    except OSError as exc:
+        print(f"usage error: cannot write {exc.filename or config.out}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"numerical failure in scenario {config.scenario}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

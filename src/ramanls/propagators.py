@@ -19,12 +19,13 @@ from .numerics import eig_h3
 def modal_states(rates, vectors, times) -> np.ndarray:
     """The states sum_m exp(r_m t) v_m, v_m the columns of ``vectors``,
     one row per time.  A row reads its own time alone, so a slice of
-    ``times`` gives the rows of the whole bit for bit.  A rate times a time
-    beyond double range raises ValueError."""
+    ``times`` gives the rows of the whole bit for bit.  A phase |r t| past
+    2**52 (or NaN) raises ValueError: one ulp of it is a radian, so a row is noise."""
     t = np.asarray(times, dtype=float)[:, None]
     t_max = float(np.abs(t).max(initial=0.0))
-    if not math.isfinite(float(np.abs(rates).max()) * t_max):
-        raise ValueError(f"the phases overflow double precision at t = {t_max:g}")
+    if not float(np.abs(rates).max()) * t_max <= 2.0 ** 52:
+        raise ValueError(f"the phases overflow double precision at t = {t_max:g}: "
+                         "past 2**52 rad one ulp of a phase is a radian")
     return sum(np.exp(r * t) * v for r, v in zip(rates, np.asarray(vectors).T))
 
 

@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -331,6 +334,31 @@ def test_help_lists_the_scenarios_and_the_keys_of_each(capsys, flag):
             names = listed(out)
             assert len(names) == len(set(names)) and err == ""
             assert set(names) == {f"--{key}" for key in keys | {"config"}}, scenario
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_is_mains_and_parse_config_rejects_its_flag(capsys, flag):
+    with pytest.raises(UsageError, match=f"unknown scenario '{flag}'"):
+        parse_config([flag])
+    with pytest.raises(UsageError, match=f"unrecognized arguments: {flag}"):
+        parse_config(["figure", flag])
+    assert capsys.readouterr().out == ""
+
+
+def python_m_ramanls(*args):
+    """``python -m ramanls`` in a subprocess, the package found on PYTHONPATH."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "ramanls", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_exits_with_the_code_main_returns():
+    done = python_m_ramanls("--help")
+    assert done.returncode == EXIT_OK and done.stderr == ""
+    assert listed(done.stdout) == list(SCENARIO_KEYS)
+    done = python_m_ramanls()
+    assert done.returncode == EXIT_USAGE and done.stdout == ""
+    assert done.stderr.startswith("usage error: ") and done.stderr.count("\n") == 1
 
 
 def test_keys_a_scenario_does_not_read_are_rejected(tmp_path):
@@ -835,6 +863,16 @@ def test_config_file_that_is_not_text_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_name_too_long_to_look_up_is_a_usage_error(tmp_path, capsys):
+    # Path.is_file raises OSError (ENAMETOOLONG) on a 300-byte file name.
+    name = str(tmp_path / ("x" * 300))
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", name, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot read config file {name}: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_fidelity_with_underflowing_drives_fails_without_output(tmp_path, capsys):
     # Both drives nonzero, but rabi_ae underflows to 0: no time scale.
@@ -896,12 +934,46 @@ def test_sweep_range_that_overflows_is_one_usage_line(tmp_path, capsys):
 
 
 def test_delta0_at_a_horizon_where_lam_t_squared_overflows(tmp_path, capsys):
-    # The rows are finite; what they mean at t = 1e300 is another matter.
+    # Finite rows could be written at t = 1e300, but no phase there is resolved.
     out = tmp_path / "t.csv"
     assert cli.main(["evolve", "--delta-avg", "400", "--omega0", "200", "--omega1", "120",
                      "--t-end", "1e300", "--points", "2", "--method", "delta0",
-                     "--out", str(out)]) == EXIT_OK
-    assert capsys.readouterr().err == ""
+                     "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in scenario evolve: the phases overflow "
+                          "double precision at t = 1e+300") and err.count("\n") == 1
+    assert not out.exists()
+
+
+POINTWISE = ["exact-ae", "exact-new", "ode", "ae", "delta0", "m0eff"]
+
+
+@pytest.mark.parametrize("method", POINTWISE)
+def test_phases_past_2_52_rad_fail_without_output(tmp_path, capsys, method):
+    # One ulp of t = 1e15 is 0.125, 3.75 rad of the Omega_R = 30 beat: the
+    # four methods exact at delta = 0 wrote rows that disagreed at every
+    # node after t = 0, and ode wrote zero populations.
+    out = tmp_path / "t.csv"
+    assert cli.main(["evolve", "--delta-avg", "400", "--delta", "0", "--omega0", "200",
+                     "--omega1", "120", "--t-end", "1e15", "--points", "4",
+                     "--method", method, "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure in scenario evolve: the phases overflow double precision at "
+        "t = 1e+15: past 2**52 rad one ulp of a phase is a radian\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", POINTWISE)
+def test_weak_drive_transfer_time_stays_below_the_phase_bound(tmp_path, method):
+    # |Omega0|/|Delta| = 1e-7: t = pi/Omega_R = 2.3e12 and the fastest
+    # phase about 5e14 rad, a ninth of 2**52.
+    params = RamanParams(400.0, 0.0, 4e-5 + 0j, 2.4e-5 + 0j)
+    t_end = float(np.pi / rabi_general(params))
+    assert 2e12 < t_end < 3e12
+    out = tmp_path / "t.csv"
+    assert cli.main(["evolve", "--delta-avg", "400", "--omega0", "4e-5", "--omega1",
+                     "2.4e-5", "--t-end", repr(t_end), "--points", "2",
+                     "--method", method, "--out", str(out)]) == EXIT_OK
     rows = np.array([line.split(",")[:-1] for line in read_lines(out)[1:]], dtype=float)
     assert rows.shape == (3, 6) and np.isfinite(rows).all()
 
@@ -1040,7 +1112,7 @@ def spaced(text):
 # to - from overflows in np.linspace
 @example(spaced("sweep --delta-avg 400 --omega0 200 --omega1 120 --axis delta "
                 "--from -1e308 --to 1e308 --points 3"))
-# delta0 phases mu_e t ~ 2e302 rad: finite, though no row resolves them
+# delta0 phases mu_e t ~ 2e302 rad, finite but past 2**52 rad
 @example(spaced("evolve --delta-avg 400 --omega0 200 --omega1 120 --t-end 1e300 "
                 "--points 2 --method delta0"))
 # dt underflows to zero on an RK4 trace
