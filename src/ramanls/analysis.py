@@ -138,16 +138,20 @@ def _beat(method, omega):
 def _delta0(params, psi0, grid, order):
     """exp(-i H t) psi0 at zero two-photon detuning, where H commutes with
     M0^2: -Delta/2 on the dark projector P-, and +-mu_e on Q (I +- H/mu_e)/2
-    for Q = P+ + Pe, where H^2 = mu_e^2 >= Delta^2/4 > 0."""
+    for Q = P+ + Pe, where H^2 = mu_e^2 >= Delta^2/4 > 0.  Rows are exp(i Delta
+    t/2) times modes at rates 0, -+i(mu_e +- Delta/2), the slow one rabi_general."""
     if params.delta_2ph != 0.0:
         raise ValueError("method delta0 requires zero two-photon detuning")
-    sd, h = spectral_m0sq(params), h_new(params)
-    mu_e = np.sqrt(sd.mu_sq[2])
+    sd, h, d = spectral_m0sq(params), h_new(params), params.delta_avg
+    mu_e, omega_r = np.sqrt(sd.mu_sq[2]), rabi_general(params)
     q = (sd.projectors[0] + sd.projectors[2]) @ psi0
     hq = (h @ q) / mu_e
     vectors = np.stack([sd.projectors[1] @ psi0, 0.5 * (q + hq), 0.5 * (q - hq)], axis=1)
-    rates = (0.5j * params.delta_avg, -1j * mu_e, 1j * mu_e)
-    return lambda rows: modal_states(rates, vectors, grid.node_times(rows))
+    rates = (0.0, -1j * (omega_r + max(d, 0.0)), 1j * (omega_r - min(d, 0.0)))
+    def states(rows):
+        t = grid.node_times(rows)
+        return np.exp(0.5j * d * t)[:, None] * modal_states(rates, vectors, t)
+    return states
 
 
 def _ls(variant):

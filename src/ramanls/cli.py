@@ -22,10 +22,10 @@ field; the drive keys, dt-end, method and order are combined instead:
 
 Every scenario writes through one path: ``_tables`` yields (path,
 header, tables) for each CSV, a table being its row count, the function
-that gives its float columns on any row slice, and a label; ``_write_csv``,
-the one loop over rows, evaluates and formats each ``FORMAT_ROWS`` rows at
-a time, every cell as ``'%.17g' % cell``, in numpy (``_format_rows``).  A
-pointwise trace is held one chunk at a time, an ls-* trace one table.
+of its float columns on any row slice, and a label; ``_write_csv``, the one
+loop over rows, writes each ``FORMAT_ROWS`` rows to a binary file as the
+ASCII bytes ``_format_rows`` builds in numpy, every cell ``b'%.17g' % cell``,
+with no text codec.  A pointwise trace is held one chunk, an ls-* trace one table.
 
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
@@ -215,7 +215,7 @@ def values_from_text(text: str, keys) -> dict[str, str]:
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse argv (and the ``--config`` file it names) into a validated
+    """Parse argv (and the UTF-8 ``--config`` file it names) into a validated
     RunConfig; any fault in them raises UsageError."""
     args = list(argv)
     scenario = args[0] if args else None
@@ -242,7 +242,7 @@ def parse_config(argv) -> RunConfig:
         try:  # is_file itself raises on a name too long for the system
             if not path.is_file():
                 raise UsageError(f"config file not found: {config_file}")
-            text = {**values_from_text(path.read_text(), keys), **text}
+            text = {**values_from_text(path.read_text(encoding="utf-8"), keys), **text}
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file {config_file}: {exc}") from None
     values = {key: _PARSERS[key](key, text[key]) for key in keys if key in text}
@@ -347,7 +347,7 @@ PRESET_GROUPS = {"3": ["3a", "3b", "3c"], "4": ["4a", "4b"]}
 # that is not a digit) and the template of the cell's class (X, sign,
 # significant digits): 0xFF over every digit shown, NUL over stripped
 # zeros, the literal bytes elsewhere.  Deleting every NUL of a chunk
-# leaves its text.  Exponent-notation cells, non-finite ones included,
+# leaves its CSV bytes.  Exponent-notation cells, non-finite ones included,
 # keep Python's own '%.17g'.  X is read exactly from ``_DECADES``, with no
 # logarithm, so one Dekker two-product (Numer. Math. 18, 224 (1971)) on
 # 10**k's halves from a table gives |x| * 10**(16 - X) in [1e16, 1e17).
@@ -429,10 +429,10 @@ def _cell_tables():
             last.astype(np.int8), template.reshape(-1, 40).view(np.uint64).T.copy())
 
 
-def _format_rows(values: np.ndarray, tail: str) -> str:
-    """The CSV text of the rows of a 2-D float array: every cell as
-    ``'%.17g' % cell``, comma-separated, each row ending in ``tail``,
-    which holds no NUL."""
+def _format_rows(values: np.ndarray, tail: bytes) -> bytes:
+    """The ASCII CSV bytes of the rows of a 2-D float array: every cell as
+    ``b'%.17g' % cell``, comma-separated, each row ending in the bytes
+    ``tail``, which hold no NUL."""
     group_words, lead_words, group_last, template_words = _cell_tables()
     n, c = values.shape
     x = np.asarray(values, np.float64).ravel()
@@ -446,8 +446,7 @@ def _format_rows(values: np.ndarray, tail: str) -> str:
     np.maximum(sig, 1, out=sig)
     cls = ((X + 4) * 2 + np.signbit(x)) * 18 + sig
 
-    end = tail.encode()
-    end_words = np.frombuffer(end + bytes(-len(end) % 8), np.uint64)
+    end_words = np.frombuffer(tail + bytes(-len(tail) % 8), np.uint64)
     words = np.empty((n, 5 * c + len(end_words)), np.uint64)
     words[:, 5 * c:] = end_words
     cells = words[:, :5 * c].reshape(n, c, 5)
@@ -462,20 +461,20 @@ def _format_rows(values: np.ndarray, tail: str) -> str:
         exponent = np.array([b"%.17g" % v for v in x[~fixed].tolist()], "S24")
         text[rows, cols, :39] = 0
         text[rows, cols, :24] = exponent[:, None].view(np.uint8)
-    return words.tobytes().translate(None, b"\0").decode()
+    return words.tobytes().translate(None, b"\0")
 
 
 def _write_csv(fh, header, tables) -> None:
-    """Write the header, then every (rows, columns, label) table of an open
-    file, ``columns(s)`` giving the float columns of the row slice ``s``,
-    ``FORMAT_ROWS`` rows at a time: each cell as ``'%.17g' % cell``, each
-    row ending in the label cell unless the label is None."""
-    fh.write(",".join(header) + "\n")
+    """Write the header, then every (rows, columns, label) table, to a
+    binary file: ``columns(s)`` gives the float columns of the row slice
+    ``s``, formatted ``FORMAT_ROWS`` rows at a time, each row ending in
+    the label cell unless the label is None, then LF."""
+    fh.write((",".join(header) + "\n").encode())
     for rows, columns, label in tables:
         # A table whose rows would not fit in memory as one float column
         # raises MemoryError before any row is evaluated: np.empty touches no page.
         np.empty(rows)
-        tail = ("" if label is None else "," + label) + "\n"
+        tail = ("\n" if label is None else f",{label}\n").encode()
         for start in range(0, rows, FORMAT_ROWS):
             chunk = np.column_stack(columns(slice(start, start + FORMAT_ROWS)))
             fh.write(_format_rows(chunk, tail))
@@ -566,13 +565,13 @@ def _tables(config: RunConfig):
 
 
 def run(config: RunConfig) -> None:
-    """Write every CSV of a RunConfig.  On any failure (OSError for a path
-    that cannot be written, ValueError or MemoryError from the library) the
-    files this run opened for writing are removed and the error propagates."""
+    """Write every CSV of a RunConfig, each to a file opened in binary.  On
+    any failure (OSError for an unwritable path, ValueError or MemoryError
+    from the library) the files it opened are removed and the error propagates."""
     written: list[Path] = []
     try:
         for path, header, tables in _tables(config):
-            with open(path, "w", newline="\n") as fh:
+            with open(path, "wb") as fh:
                 written.append(path)
                 _write_csv(fh, header, tables)
     except Exception:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -159,14 +160,35 @@ def test_trace_delta0_matches_exact():
         assert np.abs(a - b).max() <= 1e-10
 
 
-@pytest.mark.parametrize("ratio", [1e-5, 1e-6])
+@pytest.mark.parametrize("ratio", [1e-5, 1e-6, 1e-7])
 def test_trace_delta0_transfer_peak_accurate_at_weak_drive(ratio):
     # By the peak at rabi_general t = pi the dark and dressed modes turn
-    # ~5e10 rad (1e-5) and ~5e12 rad (1e-6); p1 reads only their differences.
-    p = RamanParams(400.0, 0.0, 400.0 * ratio, 0.6 * 400.0 * ratio)
-    grid = TimeGrid(t_end=np.pi / rabi_general(p), n=2)
-    trace = trace_populations("delta0", p, PSI0, grid)
-    assert trace.p1[-1] == pytest.approx(amplitude_p(p), abs=1e-9)
+    # ~5e10, 5e12 and 5e14 rad at 1e-5, 1e-6 and 1e-7.  p1 reads only their
+    # slow difference, which delta0 takes as one rate of the dark state's
+    # frame, for either sign of Delta.
+    for delta in (400.0, -400.0):
+        p = RamanParams(delta, 0.0, 400.0 * ratio, 0.6 * 400.0 * ratio)
+        grid = TimeGrid(t_end=np.pi / rabi_general(p), n=2)
+        trace = trace_populations("delta0", p, PSI0, grid)
+        assert trace.p1[-1] == pytest.approx(amplitude_p(p), abs=1e-9), delta
+
+
+@pytest.mark.parametrize("delta", [400.0, -400.0])
+@pytest.mark.parametrize("ratio", [1e-3, 1e-5, 1e-6, 1e-7])
+def test_delta0_matches_mpmath_expm_at_weak_drive(ratio, delta):
+    # The reference is a 60-digit exp(-i H t) of H built here from the
+    # parameters, at the transfer peak t = pi/rabi_general.
+    p = RamanParams(delta, 0.0, 400.0 * ratio, 0.6 * 400.0 * ratio)
+    t = np.pi / rabi_general(p)
+    trace = trace_populations("delta0", p, PSI0, TimeGrid(t_end=t, n=2))
+    with mpmath.workdps(60):
+        d, o0, o1 = mpmath.mpf(delta), mpmath.mpc(p.omega0), mpmath.mpc(p.omega1)
+        h = mpmath.matrix([[-d / 2, 0, o0 / 2], [0, -d / 2, o1 / 2],
+                           [mpmath.conj(o0) / 2, mpmath.conj(o1) / 2, d / 2]])
+        u = mpmath.expm(-1j * h * mpmath.mpf(t))
+        want = [float(abs(u[k, 0]) ** 2) for k in range(2)]
+    assert abs(trace.p0[-1] - want[0]) <= 1e-12
+    assert abs(trace.p1[-1] - want[1]) <= 1e-12
 
 
 def test_trace_ode_matches_exact():
@@ -281,6 +303,9 @@ def test_trace_rejections():
         trace_populations("magic", FIG4, PSI0, grid)
     with pytest.raises(ValueError, match="unit norm"):
         trace_populations("exact-new", FIG4, 2 * PSI0, grid)
+    with pytest.raises(ValueError, match="unit norm"):
+        trace_populations("exact-new", FIG4, (1 + 1e-6) * PSI0, grid)
+    trace_populations("exact-new", FIG4, (1 + 1e-12) * PSI0, grid)  # within 1e-9
     with pytest.raises(ValueError, match="three components"):
         trace_populations("exact-new", FIG4, PSI0[:2], grid)
     nan_state = np.array([np.nan, 0.0, 0.0], dtype=complex)

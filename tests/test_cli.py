@@ -151,10 +151,12 @@ def test_parse_config_from_text(tmp_path):
     rc = parse_config(
         ["evolve", "--method", "exact-new", "--config", config_file(
             tmp_path, "delta-avg = 400\ndelta = 0  # resonant\n"
-                      "omega0 = 40+0i\nomega1 = 40\nt-end = 0.5\n")],
+                      "omega0 = 40+0i\nomega1 = 40\nt-end = 0.5\n"
+                      "out = runs/a=b.csv\n")],
     )
     assert rc.params == RamanParams(400.0, 0.0, 40.0 + 0j, 40.0 + 0j)
     assert rc.t_end == 0.5
+    assert rc.out == "runs/a=b.csv"  # split at the first '=' only
 
 
 def test_config_text_rejections(tmp_path):
@@ -345,10 +347,10 @@ def test_help_is_mains_and_parse_config_rejects_its_flag(capsys, flag):
     assert capsys.readouterr().out == ""
 
 
-def python_m_ramanls(*args):
-    """``python -m ramanls`` in a subprocess, the package found on PYTHONPATH."""
+def python_m_ramanls(*args, flags=()):
+    """``python *flags -m ramanls`` in a subprocess, the package found on PYTHONPATH."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    return subprocess.run([sys.executable, "-m", "ramanls", *args], env=env,
+    return subprocess.run([sys.executable, *flags, "-m", "ramanls", *args], env=env,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -359,6 +361,26 @@ def test_module_entry_exits_with_the_code_main_returns():
     done = python_m_ramanls()
     assert done.returncode == EXIT_USAGE and done.stdout == ""
     assert done.stderr.startswith("usage error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--delta-avg", "400", "--omega0", "200", "--omega1", "120",
+     "--t-end", "0.05", "--points", "40", "--method", "exact-new"],
+    ["figure", "--id", "2"],
+    ["evolve", "--config", "run.cfg"],
+], ids=["evolve", "figure", "config"])
+def test_runs_open_no_file_in_the_locale_encoding(tmp_path, argv):
+    # PEP 597: with EncodingWarning an error, a file opened as text with no
+    # encoding ends the run in a traceback.  The config file is UTF-8.
+    config = tmp_path / "run.cfg"
+    config.write_text("# drives in rad/\u00b5s\ndelta-avg = 400\nomega0 = 200\n"
+                      "omega1 = 120\nt-end = 0.05\nmethod = ode\n", encoding="utf-8")
+    argv = [str(config) if a == "run.cfg" else a for a in argv]
+    done = python_m_ramanls(*argv, f"--out={tmp_path / 'sub.csv'}",
+                            flags=("-X", "warn_default_encoding", "-W", "error"))
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert cli.main(argv + [f"--out={tmp_path / 'main.csv'}"]) == EXIT_OK
+    assert (tmp_path / "sub.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
 
 
 def test_keys_a_scenario_does_not_read_are_rejected(tmp_path):
@@ -591,9 +613,9 @@ def test_write_csv_chunks_give_per_row_bytes(rows):
     # Each table hands out the slices the writer asks for, and nothing else.
     tables = [(len(columns[0]), lambda s, columns=columns: [c[s] for c in columns], label)
               for columns, label in blocks]
-    fh = io.StringIO()
+    fh = io.BytesIO()
     cli._write_csv(fh, ("a", "b", "c", "d"), iter(tables))
-    assert fh.getvalue() == per_row_csv(("a", "b", "c", "d"), blocks)
+    assert fh.getvalue().decode() == per_row_csv(("a", "b", "c", "d"), blocks)
 
 
 def test_sweep_over_several_chunks_matches_observables(tmp_path):

@@ -23,7 +23,7 @@ def mismatches(values, columns=1, tail="\n"):
     checking that the row structure matches the oracle's."""
     values = np.asarray(values, np.float64)
     table = values[:len(values) // columns * columns].reshape(-1, columns)
-    text = cli._format_rows(table, tail)
+    text = cli._format_rows(table, tail.encode()).decode()
     rows = [",".join("%.17g" % v for v in row) + tail for row in table.tolist()]
     if text == "".join(rows):
         return []
@@ -56,7 +56,7 @@ def test_zeros_subnormals_and_non_finite_cells():
               2.2250738585072014e-308, math.inf, -math.inf, math.nan,
               1.7976931348623157e308, -1.7976931348623157e308]
     assert mismatches(values) == []
-    assert cli._format_rows(np.array([[-0.0, 0.0]]), ",x\n") == "-0,0,x\n"
+    assert cli._format_rows(np.array([[-0.0, 0.0]]), b",x\n") == b"-0,0,x\n"
 
 
 def test_powers_of_ten_and_their_neighbours():
@@ -74,8 +74,8 @@ def test_notation_switches():
     edges = [1e-5, 1e-4, 1e16, 1e17]
     values = [np.nextafter(e, d) for e in edges for d in (0.0, math.inf)] + edges
     assert mismatches(values) == []
-    assert cli._format_rows(np.array([edges]), "\n") == (
-        "1.0000000000000001e-05,0.0001,10000000000000000,1e+17\n")
+    assert cli._format_rows(np.array([edges]), b"\n") == (
+        b"1.0000000000000001e-05,0.0001,10000000000000000,1e+17\n")
 
 
 def test_literals_that_round_up_into_the_next_decade():
