@@ -8,7 +8,8 @@ elementwise: given a RamanParams with array fields they return one
 value per parameter point, equal bit for bit to the scalar call there.
 
 ``trace_populations`` records a population trace by any method, and
-``trace_rows`` gives one on any slice of the grid nodes.  The non-LS
+``trace_rows`` gives one on any slice of the grid nodes; ``born_rows``
+gives an ls-* one from a table of ``born_tables``.  The non-LS
 methods are pointwise: each solves one spectrum per trace and is then a
 function of t alone, ``propagators.modal_states`` on it, so a CLI trace
 is held one chunk at a time.
@@ -184,12 +185,24 @@ def trace_rows(method: str, params: RamanParams, psi0: np.ndarray,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
     states = METHODS[method](params, _initial_state(psi0), grid, order)
+    return f"{method}-k{order}" if method.startswith("ls-") else method, _populations(states)
 
+
+def born_rows(method: str, order: int, table: np.ndarray, psi0: np.ndarray):
+    """``trace_rows`` of the ls-* ``method`` at ``order``, read from that
+    order's time-last table, an item of ``born_tables``."""
+    states = apply_normalized(table.transpose(2, 0, 1), psi0)
+    return f"{method}-k{order}", _populations(states.__getitem__)
+
+
+def _populations(states):
+    """The function that gives p0, p1, pe and the norm on a slice of the
+    grid nodes, from ``states``, the function that gives the states there."""
     def populations(rows):
         s = states(rows)
         pops = np.square(s.real) + np.square(s.imag)
         return pops[:, 0], pops[:, 1], pops[:, 2], np.sqrt(pops.sum(axis=1))
-    return f"{method}-k{order}" if method.startswith("ls-") else method, populations
+    return populations
 
 
 def trace_populations(method: str, params: RamanParams, psi0: np.ndarray,

@@ -25,7 +25,9 @@ header, tables) for each CSV, a table being its row count, the function
 of its float columns on any row slice, and a label; ``_write_csv``, the one
 loop over rows, writes each ``FORMAT_ROWS`` rows to a binary file as the
 ASCII bytes ``_format_rows`` builds in numpy, every cell ``b'%.17g' % cell``,
-with no text codec.  A pointwise trace is held one chunk, an ls-* trace one table.
+with no text codec.  A pointwise trace is held one chunk, an ls-* trace
+one table; a run of one ls-* method at rising orders reads one Born
+iteration, ``born_tables``.
 
 Frequencies are entered in rad/us (displayed as MHz), times in us; the
 ``dt_times_Delta`` column carries the dimensionless time axis used by the
@@ -46,9 +48,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (METHODS, delta_resonant_ae, delta_resonant_lightshift,
-                       amplitude_p, rabi_ae, rabi_exact_delta0, rabi_general,
-                       trace_rows)
-from .lippmann_schwinger import TimeGrid, born_order, required_intervals
+                       amplitude_p, born_rows, rabi_ae, rabi_exact_delta0,
+                       rabi_general, trace_rows)
+from .lippmann_schwinger import TimeGrid, born_order, born_tables, required_intervals
 from .model import RamanParams, h_ae
 from .propagators import state_table
 
@@ -441,7 +443,8 @@ def _format_rows(values: np.ndarray, tail: bytes) -> bytes:
     lead = top // 10 ** 8
     high = top - lead * 10 ** 8
     low = D - top * 10 ** 8
-    groups = (high // 10 ** 4, high % 10 ** 4, low // 10 ** 4, low % 10 ** 4)
+    high_hi, low_hi = high // 10 ** 4, low // 10 ** 4
+    groups = (high_hi, high - high_hi * 10 ** 4, low_hi, low - low_hi * 10 ** 4)
     sig = np.maximum.reduce([group_last[i].take(g) for i, g in enumerate(groups)])
     np.maximum(sig, 1, out=sig)
     cls = ((X + 4) * 2 + np.signbit(x)) * 18 + sig
@@ -491,8 +494,18 @@ def _trace_blocks(config: RunConfig):
               f"hierarchy; raised to {required}", file=sys.stderr)
         n = required
     grid = TimeGrid(t_end=t_end, n=n)
+    tables = None  # the Born iteration of the last ls-* method, at order k
     for name, order in config.methods:
-        label, populations = trace_rows(name, params, config.psi0, grid, order=order)
+        if name.startswith("ls-"):
+            # One ls-* method at rising orders reads one iteration.
+            if tables is None or name != last or order < k:
+                tables, last, k = born_tables(name[3:], params, grid), name, -1
+            for k in range(k + 1, order + 1):
+                table = next(tables)
+            label, populations = born_rows(name, order, table, config.psi0)
+        else:
+            tables = table = None  # dropped as the run moves on
+            label, populations = trace_rows(name, params, config.psi0, grid, order=order)
         def columns(rows):
             t = grid.node_times(rows)
             return (t, t * params.delta_avg, *populations(rows))

@@ -46,6 +46,7 @@ weights mirrored by the substitution: 3/8 on nodes 0..3, Simpson on 3..i.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -58,6 +59,12 @@ from .numerics import sinc_sqrt
 
 #: Largest allowed phase advance of the fastest mode per grid step.
 GRID_PHASE_LIMIT = math.pi / 20.0
+
+#: Most grid nodes a Born iteration takes.  Its tables are held whole, so
+#: an ls-* trace takes about 1.5 kB per node: ``evolve`` at order 2 on
+#: 257 932 nodes peaks at 319 MB (ls-S) and 390 MB (ls-M) of max RSS,
+#: and ls-S took 2 GB on 1 473 883.  Its error grows with the span too.
+BORN_NODE_BUDGET = 2 ** 18
 
 
 class Variant(str, Enum):
@@ -235,33 +242,52 @@ def born_order(order) -> int:
     return order
 
 
+def born_tables(variant: Variant | str, params: RamanParams, grid: TimeGrid):
+    """Born iteration of the chosen integral equation: yields the
+    time-last (3, 3, n+1) tables of orders 0, 1, 2, ... in turn.
+
+    The spectrum, the mode rows and U0 are built once, before order 0,
+    and the remainder eps and the mode basis once, before order 1, so
+    the orders of one variant up to k cost as much as order k alone.
+    Between items it holds U0 and the latest table of each side.  Grids
+    of more than ``BORN_NODE_BUDGET`` nodes raise ValueError before any
+    table is allocated.
+    """
+    variant = Variant(variant)
+    sd = validate_grid(grid, params)
+    if grid.n + 1 > BORN_NODE_BUDGET:
+        raise ValueError(
+            f"{grid.n + 1} grid nodes exceed the Born iteration's budget of "
+            f"{BORN_NODE_BUDGET}; shorten the span (--t-end) or the grid (--points)")
+    mu_sq = sd.mu_sq[:, None]  # C_m and S_m as (3, n+1) rows, even in mu_m
+    modes = np.cos(np.sqrt(mu_sq) * grid.times), sinc_sqrt(mu_sq, grid.times)
+    h = h_new(params)
+    # M is the mean of the R and L tables, both built on the one solve sd.
+    sides = (Variant.R, Variant.L) if variant is Variant.M else (variant,)
+    u0s = [_u0_table(side, sd.projectors, h, *modes) for side in sides]
+    tables, step = list(u0s), None
+    while True:
+        yield tables[0] if len(tables) == 1 else 0.5 * (tables[0] + tables[1])
+        if step is None:
+            step = (split_square(params), grid.dt, *modes, _mode_basis(sd.projectors))
+        for i, side in enumerate(sides):
+            corrs = [born(tables[i], *step) for born in _SIDES[side]]
+            tables[i] = u0s[i] - sum(corrs[1:], corrs[0]) / len(corrs)
+            del corrs
+
+
 def iterate(variant: Variant | str, params: RamanParams, grid: TimeGrid,
             order: int) -> np.ndarray:
-    """Born iteration of the chosen integral equation up to the given order.
+    """Born iteration of the chosen integral equation up to the given order:
+    item ``order`` of a fresh ``born_tables``.
 
     Returns the propagator on every grid node as an (n+1, 3, 3) array, a
     view of the time-last table.
     """
     variant = Variant(variant)
     born_order(order)
-    sd = validate_grid(grid, params)
-    mu_sq = sd.mu_sq[:, None]  # C_m and S_m as (3, n+1) rows, even in mu_m
-    modes = np.cos(np.sqrt(mu_sq) * grid.times), sinc_sqrt(mu_sq, grid.times)
-    h = h_new(params)
-    if order:
-        step = (split_square(params), grid.dt, *modes, _mode_basis(sd.projectors))
-
-    # M is the mean of the R and L tables, both built on the one solve sd.
-    tables = []
-    for side in (Variant.R, Variant.L) if variant is Variant.M else (variant,):
-        u0 = _u0_table(side, sd.projectors, h, *modes)
-        table = u0
-        for _ in range(order):
-            corrs = [born(table, *step) for born in _SIDES[side]]
-            table = u0 - sum(corrs[1:], corrs[0]) / len(corrs)
-        tables.append(table)
-    table = tables[0] if len(tables) == 1 else 0.5 * (tables[0] + tables[1])
-    return table.transpose(2, 0, 1)
+    return next(itertools.islice(born_tables(variant, params, grid), order, None)
+                ).transpose(2, 0, 1)
 
 
 def _initial_state(psi0) -> np.ndarray:

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ramanls import cli
+from ramanls import cli, lippmann_schwinger
 from ramanls.analysis import (METHODS, amplitude_p, delta_resonant_ae,
                               delta_resonant_lightshift, rabi_ae, rabi_general,
-                              trace_populations)
+                              trace_populations, trace_rows)
 from ramanls.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, UsageError,
                          parse_complex_literal, parse_config)
 from ramanls.lippmann_schwinger import TimeGrid, required_intervals
@@ -781,6 +781,49 @@ def test_figure_hierarchy_and_envelope_presets(tmp_path):
     text6 = (tmp_path / "fig6.csv").read_text()
     for token in ("exact-new", "ls-S-k0", "ae", "m0eff"):
         assert token in text6
+
+
+def test_figure_orders_of_one_variant_read_one_born_iteration(tmp_path, monkeypatch):
+    u0_tables = []
+    u0_table = lippmann_schwinger._u0_table
+    monkeypatch.setattr(lippmann_schwinger, "_u0_table",
+                        lambda *args: u0_tables.append(args[0]) or u0_table(*args))
+    assert cli.main(["figure", "--id", "5", "--out", str(tmp_path)]) == EXIT_OK
+    assert u0_tables == ["S"]  # orders 0, 1 and 2 of ls-S on one U0
+
+
+def test_trace_blocks_restart_the_iteration_where_variant_changes_or_order_drops(
+        monkeypatch):
+    config = parse_config(["compare", "--delta-avg", "400", "--delta", "-16",
+                           "--omega0", "200", "--omega1", "120", "--t-end", "0.05",
+                           "--psi0", "0.6,0.8i,0", "--method", "exact-new"])
+    config.methods = [("ls-S", 0), ("ls-S", 2), ("ls-S", 1), ("ls-M", 1), ("ls-M", 1),
+                      ("exact-new", 0), ("ls-M", 1), ("ls-R", 3)]
+    started = []
+    born_tables = cli.born_tables
+    monkeypatch.setattr(cli, "born_tables",
+                        lambda *args: started.append(args[0]) or born_tables(*args))
+    grid = TimeGrid(t_end=0.05, n=required_intervals(config.params, 0.05))
+    blocks = cli._trace_blocks(config)
+    for (rows, columns, label), (name, order) in zip(blocks, config.methods, strict=True):
+        want_label, populations = trace_rows(name, config.params, config.psi0, grid,
+                                             order=order)
+        assert (rows, label) == (grid.n + 1, want_label)
+        got, want = columns(slice(None))[2:], populations(slice(None))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), label
+    assert started == ["S", "S", "M", "M", "R"]
+
+
+def test_ls_trace_above_the_node_budget_fails_without_output(tmp_path, capsys):
+    # Delta t = 72 000 at the figure-4 point needs 265 301 nodes, past the
+    # 2**18 of the Born iteration's budget.
+    out = tmp_path / "ls.csv"
+    assert cli.main(["evolve", "--delta-avg", "400", "--delta", "-16", "--omega0", "200",
+                     "--omega1", "120", "--dt-end", "72000", "--method", "ls-S",
+                     "--order", "0", "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--t-end" in err and "--points" in err, err
+    assert not out.exists()
 
 
 def test_numerical_failure_removes_partial_output(tmp_path, capsys):

@@ -1,9 +1,15 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from ramanls.lippmann_schwinger import (GRID_PHASE_LIMIT, TimeGrid, Variant,
-                                        apply_normalized, auto_grid, iterate,
-                                        required_intervals, validate_grid)
+from ramanls.analysis import trace_rows
+from ramanls.lippmann_schwinger import (BORN_NODE_BUDGET, GRID_PHASE_LIMIT, TimeGrid,
+                                        Variant, apply_normalized, auto_grid,
+                                        born_tables, iterate, required_intervals,
+                                        validate_grid)
 from ramanls.model import RamanParams, h_new, spectral_m0sq, split_square
 
 import ls_quadratic
@@ -151,6 +157,57 @@ def test_iterate_order_zero_is_u0_table():
     ref = ls_quadratic.u0_table(Variant.R, FIG4, g.times)
     for i in (0, g.n // 2, g.n):
         assert np.abs(tab[i] - ref[i]).max() < 1e-14
+
+
+@pytest.mark.parametrize("grid", [
+    TimeGrid(t_end=100.0 / 400.0, n=370),  # the figure-4 grid
+    TimeGrid(t_end=4.0 * GRID_PHASE_LIMIT / spectral_m0sq(FIG4).mu_max, n=4),
+], ids=["n370", "n4"])
+@pytest.mark.parametrize("variant", "RLSM")
+def test_born_tables_give_iterate_bit_for_bit(variant, grid):
+    tables = born_tables(variant, FIG4, grid)
+    for order in range(4):
+        table = next(tables).transpose(2, 0, 1)
+        assert table.tobytes() == iterate(variant, FIG4, grid, order).tobytes(), order
+
+
+def test_born_iteration_forms_no_cycle_with_its_grid():
+    # With the collector off, only reference counting frees the grid: a
+    # finished ls-* trace, or a suspended iteration, must not keep it.
+    gc.disable()
+    try:
+        grid = TimeGrid(t_end=0.25, n=370)
+        ref = weakref.ref(grid)
+        _, populations = trace_rows("ls-S", FIG4, PSI0, grid, order=2)
+        populations(slice(None))
+        del grid, populations
+        assert ref() is None
+        grid = TimeGrid(t_end=0.25, n=370)
+        ref = weakref.ref(grid)
+        tables = born_tables("M", FIG4, grid)
+        next(tables), next(tables)
+        del grid, tables
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_born_iteration_refuses_grids_above_its_node_budget():
+    def grid(n):
+        return TimeGrid(t_end=n * GRID_PHASE_LIMIT / spectral_m0sq(FIG4).mu_max, n=n)
+    # n + 1 nodes, one past the budget: refused before the node times or
+    # any table (38 MB each at this size) are allocated.
+    above = grid(BORN_NODE_BUDGET)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"budget of {BORN_NODE_BUDGET}"):
+            iterate("S", FIG4, above, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6 and "times" not in vars(above)
+    assert next(born_tables("R", FIG4, grid(BORN_NODE_BUDGET - 2))).shape == (
+        3, 3, BORN_NODE_BUDGET - 1)
 
 
 def test_iterate_zero_detuning_corrections_vanish():
